@@ -8,8 +8,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+## test: every package of the root module, then the nested perfbench
+## module (its own go.mod, so the root ./... does not reach it).
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) test ./...
 
 ## race: race-detector stress over the lock-free solver, its callers,
 ## the sharded serving layer, the HTTP front end, and the analysis

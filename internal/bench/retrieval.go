@@ -252,6 +252,7 @@ func measureReusable(s retrieval.ReusableSolver, problems []*retrieval.Problem, 
 	var work WorkTotals
 	var augment, globalRelabels int64
 	var before, after runtime.MemStats
+	defer pinProcs(s.Name())()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -288,6 +289,22 @@ func measureReusable(s retrieval.ReusableSolver, problems []*retrieval.Problem, 
 		rec.MeanResponseUs = float64(int64(sum)) / float64(len(responses))
 	}
 	return rec, responses, nil
+}
+
+// pinProcs pins GOMAXPROCS to 1 for a sequential solver's allocation
+// window, as testing.AllocsPerRun does, and returns the function that
+// restores it; callers defer it, so the untimed cross-checks after the
+// window run pinned too. MemStats counts the mallocs of every goroutine in the
+// process, and with one processor no other goroutine runs beside the
+// solver to land its allocations in the window. The parallel and
+// speculative solvers keep every processor: their timed windows measure
+// the parallelism, and their allocation counts are not gated.
+func pinProcs(solver string) func() {
+	if !sequentialSolver(solver) {
+		return func() {}
+	}
+	prev := runtime.GOMAXPROCS(1)
+	return func() { runtime.GOMAXPROCS(prev) }
 }
 
 // perturbLoads applies the deterministic round-r load perturbation for one
@@ -360,6 +377,7 @@ func measureWarm(s, check retrieval.ReusableSolver, problems []*retrieval.Proble
 	}
 	elapsed = 0
 	var before, after runtime.MemStats
+	defer pinProcs(s.Name())()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	if err := pass(); err != nil {

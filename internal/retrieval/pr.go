@@ -118,6 +118,9 @@ func (s *PRIncremental) solveMasked(p *Problem, mask *DiskMask, res *Result) err
 // stored and conserved (they remain valid when capacities grow), while
 // flows computed at feasible midpoints are rolled back (the optimum may be
 // lower). The final stretch runs Algorithm 5 from tmin's capacities.
+// The sequential search opens at the capacity-cut bound (cutSearch);
+// where that bound is feasible, as on most Experiment 2 range queries,
+// the solve ends after three max-flow runs.
 //
 // With Conserve = false every max-flow run starts from the zero flow — the
 // black-box algorithm of the paper's reference [12], kept as the baseline
@@ -186,12 +189,12 @@ func NewPRBinaryParallel(n int) *PRBinary {
 // (sequential FIFO engine each), then commits the largest infeasible
 // probe's flow — the conservation rule of the sequential search, whose
 // stored flows are exactly the infeasible ones — and tightens the bracket
-// to the surviving gap. The optimum is bracketed identically, and the
-// final incremental stretch starts from an infeasible flow at tmin just
-// like the sequential solver, so schedules and response times are
-// bit-identical to pr-binary (audit-checked); only the operation counters
-// differ. probes <= 0 selects runtime.GOMAXPROCS(0); probes == 1 is the
-// sequential conserve path unchanged.
+// to the surviving gap. It keeps Algorithm 6's plain bracket and does not
+// open at the capacity-cut bound the sequential search starts from, so
+// its probes, counters and conserved flows differ from pr-binary's and
+// so may its schedule among equally optimal ones; the response time is
+// the same optimum. probes <= 0 selects runtime.GOMAXPROCS(0); probes == 1
+// is the sequential conserve path unchanged.
 func NewPRBinarySpeculative(probes int) *PRBinary {
 	probes = threads.Normalize(probes)
 	return &PRBinary{
@@ -301,8 +304,21 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 		net.g.DrainExcess(net.s, net.t)
 		s.st.reset(net)
 	} else {
+		// Every live disk serving all of its replicas is a feasible
+		// schedule, and a live disk holds no more than target buckets, so
+		// the sequential search narrows the ceiling to that schedule's
+		// makespan.
+		tmax = net.allReplicasTime()
 		if s.conserve && !warm {
 			s.saved = net.g.SnapshotFlows(s.saved) // all-zero snapshot
+		}
+		var done bool
+		if tmin, done = s.cutSearch(target, tmin, tmax, warm, res); done {
+			// The cut bound is feasible, so it is the optimum: the flow
+			// in net.g is maximal at its capacities.
+			s.st.reset(net)
+			res.Stats.Flow = *engine.Metrics()
+			return net.finishDegraded(res)
 		}
 		// The paper loops while (tmax - tmin) >= minSpeed over reals; with
 		// integer microseconds that admits a no-progress iteration when the
@@ -311,28 +327,7 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 		// any remaining gap either way.
 		for cost.SatSub(tmax, tmin) > minSpeed {
 			tmid := cost.SatAdd(tmin, cost.SatSub(tmax, tmin)/2)
-			net.capsForTime(tmid)
-			if s.conserve {
-				if warm {
-					// Warm conservation: drain the carried flow down to this
-					// probe's capacities and let the engine augment the rest.
-					net.g.DrainExcess(net.s, net.t)
-				}
-			} else {
-				net.g.ZeroFlows()
-			}
-			flow := engine.Run(net.s, net.t)
-			res.Stats.MaxflowRuns++
-			res.Stats.BinarySteps++
-			maxflow.Audit(net.g, net.s, net.t)
-			if flow != target {
-				// Infeasible: keep (store) these flows — they stay valid at
-				// every larger capacity setting — and raise the floor.
-				if s.conserve && !warm {
-					s.saved = net.g.SnapshotFlows(s.saved)
-				}
-				tmin = tmid
-			} else {
+			if s.probe(tmid, target, warm, res) {
 				// Feasible: the optimum may be lower, so roll back to the last
 				// infeasible flow state and lower the ceiling. On the warm path
 				// the next probe's DrainExcess performs the equivalent cut-down
@@ -341,6 +336,8 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 					net.g.RestoreFlows(s.saved)
 				}
 				tmax = tmid
+			} else {
+				tmin = tmid
 			}
 		}
 
@@ -380,6 +377,80 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 	}
 	res.Stats.Flow = *engine.Metrics()
 	return net.finishDegraded(res)
+}
+
+// cutSearch opens the sequential search at the capacity-cut bound. The
+// cut separating the sink from every other vertex has capacity
+// capSum(t), so no threshold whose capSum falls short of target is
+// feasible; bisecting capSum (no max-flow run) finds tcut, the smallest
+// threshold that passes that test. Two shaping runs below tcut — the
+// midpoint of [tmin, tcut), then tcut-1, both infeasible by the bound —
+// are stored like any infeasible probe: they route flow off the slow
+// disks before the decisive probe at tcut, which conservation then
+// starts from. A feasible tcut is the optimum (tcut-1 is infeasible),
+// reported as done with its maximal flow left in net.g; otherwise the
+// returned floor is tcut and the bisection continues above it.
+func (s *PRBinary) cutSearch(target int64, tmin, tmax cost.Micros, warm bool, res *Result) (cost.Micros, bool) {
+	net := &s.net
+	if target == 0 {
+		return tmin, false // every bucket is dead: nothing to retrieve
+	}
+	// tmin lies below every single-block completion time (capSum 0) and
+	// tmax is feasible (capSum >= target), so tcut lies in (tmin, tmax].
+	tcut := net.cutBound(tmin, tmax, target)
+	below := cost.SatSub(tcut, 1)
+	if mid := cost.SatAdd(tmin, cost.SatSub(tcut, tmin)/2); mid < below {
+		s.probe(mid, target, warm, res)
+	}
+	s.probe(below, target, warm, res)
+	return tcut, s.probe(tcut, target, warm, res)
+}
+
+// probe runs the engine at threshold t's capacities and reports whether
+// the flow reaches target. With conservation the run starts from the
+// flow in net.g (drained to the new capacities on the warm path); an
+// infeasible flow is stored on the cold path, since it stays valid at
+// every larger capacity setting. Rolling back after a feasible probe is
+// the caller's choice. The black-box baseline starts every run from zero.
+func (s *PRBinary) probe(t cost.Micros, target int64, warm bool, res *Result) bool {
+	net := &s.net
+	net.capsForTime(t)
+	if s.conserve {
+		if warm {
+			// Warm conservation: drain the carried flow down to this
+			// probe's capacities and let the engine augment the rest.
+			net.g.DrainExcess(net.s, net.t)
+		}
+	} else {
+		net.g.ZeroFlows()
+	}
+	flow := s.engine.Run(net.s, net.t)
+	res.Stats.MaxflowRuns++
+	res.Stats.BinarySteps++
+	maxflow.Audit(net.g, net.s, net.t)
+	if flow == target {
+		return true
+	}
+	if s.conserve && !warm {
+		s.saved = net.g.SnapshotFlows(s.saved)
+	}
+	return false
+}
+
+// allReplicasTime returns the earliest threshold at which every live disk
+// can serve every bucket it holds: max_k Finish_k(inDeg_k). Each live
+// bucket then has a full path to the sink, so the threshold is feasible.
+func (net *network) allReplicasTime() cost.Micros {
+	var worst cost.Micros
+	for k, dp := range net.params {
+		if net.maskedSlot[k] {
+			continue
+		}
+		if f := dp.Finish(net.inDeg[k]); f > worst {
+			worst = f
+		}
+	}
+	return worst
 }
 
 // minSingleBlock returns the fastest possible single-block completion time

@@ -424,6 +424,38 @@ func (net *network) capsForTime(t cost.Micros) {
 	}
 }
 
+// capSum returns the total of the disk->sink capacities capsForTime(t)
+// would set: the capacity of the cut around the sink, so no flow at
+// threshold t exceeds it. Masked disks count as zero. The sum cannot
+// wrap: each term is clamped to a replica count, and the counts add up to
+// the query's replica entries.
+func (net *network) capSum(t cost.Micros) int64 {
+	var sum int64
+	for k, dp := range net.params {
+		if net.maskedSlot[k] {
+			continue
+		}
+		sum += cost.BlocksWithin(dp.Delay, dp.Load, dp.Service, t, net.inDeg[k])
+	}
+	return sum
+}
+
+// cutBound bisects capSum for tcut, the smallest threshold in (lo, hi]
+// whose summed capacities reach target; it needs capSum(lo) < target <=
+// capSum(hi). Every threshold below tcut is infeasible. No max-flow run
+// is involved.
+func (net *network) cutBound(lo, hi cost.Micros, target int64) cost.Micros {
+	for cost.SatSub(hi, lo) > 1 {
+		mid := cost.SatAdd(lo, cost.SatSub(hi, lo)/2)
+		if net.capSum(mid) >= target {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
 // capsForTimeInto writes capsForTime's capacities into an arbitrary graph
 // with net.g's arc layout — a speculative probe's scratch copy. Only
 // net.params/maskedSlot/inDeg/diskArc are read (never written), so

@@ -30,9 +30,9 @@ type probeCtx struct {
 // infeasible probe's flow is committed back into net.g (it remains valid
 // at every larger capacity setting); feasible probes merely lower the
 // ceiling. The caller re-derives tmin's capacities and drains the
-// committed flow to them, after which the final incremental stretch is
-// indistinguishable from the sequential solver's, so the resulting
-// schedule and response time are bit-identical by construction.
+// committed flow to them and runs the final incremental stretch from
+// there. Every committed flow is maximal at an infeasible threshold, so
+// the stretch ends at the optimal response time.
 //
 // Invariant between rounds: net.g.Flow holds the most recently committed
 // infeasible flow — feasible at capsForTime(tmin) — or the solve's
