@@ -2,9 +2,8 @@
 // per paper-scale cell, a sequential replay baseline, a bit-exactness
 // cross-check of the server's deterministic single-shard mode, a
 // saturation throughput run per worker count (queries/sec, p50/p95/p99
-// latency, worker-scaling curve), and a hot repeated-query workload
-// measured with and without the per-worker solve cache, written as
-// BENCH_serve.json.
+// latency, worker-scaling curve), and a hot repeated-query workload per
+// worker count, written as BENCH_serve.json.
 //
 // With -fault it runs the fault-injection suite instead: per cell, the
 // conserved-flow failover repair timed against a fresh masked re-solve at
@@ -50,8 +49,6 @@ func main() {
 	expNum := flag.Int("exp", 0, "Table IV experiment number (default 2)")
 	hotShapes := flag.Int("hot-shapes", 0, "recurring replica structures in the hot workload pool (default 8)")
 	hotPercent := flag.Int("hot-percent", 0, "percent of hot-workload queries drawn from the pool (default 90)")
-	cacheSize := flag.Int("cache", 0, "per-worker solve-cache entries for the cached hot run (default 512)")
-	cacheQuantum := flag.Int("cache-quantum-us", 0, "cache-key busy-time quantization in microseconds (default 50000)")
 	faultMode := flag.Bool("fault", false, "run the fault-injection suite instead (writes BENCH_fault.json)")
 	maxFailed := flag.Int("max-failed", 0, "fault suite: sweep 0..max-failed failed disks (default 2)")
 	httpMode := flag.Bool("http", false, "run the HTTP overload suite instead (writes BENCH_http.json)")
@@ -99,12 +96,6 @@ func main() {
 	if *hotPercent > 0 {
 		o.HotPercent = *hotPercent
 	}
-	if *cacheSize > 0 {
-		o.CacheSize = *cacheSize
-	}
-	if *cacheQuantum > 0 {
-		o.CacheQuantumUs = *cacheQuantum
-	}
 
 	report, err := bench.RunServe(o)
 	if err != nil {
@@ -113,11 +104,9 @@ func main() {
 	writeReport(*out, report, len(report.Records))
 
 	for _, r := range report.Records {
-		fmt.Fprintf(os.Stderr, "%-28s %-16s workers=%d %9.0f q/s %8.0fus p50 %8.0fus p99 %5.0f%% warm %5.0f%% hits",
-			r.Cell, r.Mode, r.Workers, r.QPS, r.P50LatencyUs, r.P99LatencyUs, r.WarmRate*100, r.CacheHitRate*100)
-		if r.SpeedupVsUncached > 0 {
-			fmt.Fprintf(os.Stderr, " %6.2fx vs uncached", r.SpeedupVsUncached)
-		} else if r.SpeedupVsReplay > 0 {
+		fmt.Fprintf(os.Stderr, "%-28s %-16s workers=%d %9.0f q/s %8.0fus p50 %8.0fus p99 %5.0f%% warm",
+			r.Cell, r.Mode, r.Workers, r.QPS, r.P50LatencyUs, r.P99LatencyUs, r.WarmRate*100)
+		if r.SpeedupVsReplay > 0 {
 			fmt.Fprintf(os.Stderr, " %6.2fx vs replay", r.SpeedupVsReplay)
 		}
 		fmt.Fprintln(os.Stderr)

@@ -1,10 +1,10 @@
 // Package detpath implements the determinism-reachability analyzer: the
 // static side of the repository's bit-identity guarantee.
 //
-// The invariant — warm solves match cold solves, speculative probing
-// matches sequential pr-binary, BatchParallelism widths never change
-// response times, det-mode serving replays the simulator exactly — is
-// enforced dynamically by audit-tag tests and -race stress. Those only
+// The invariant — warm solves match cold solves, the parallel engine's
+// schedules match sequential pr-binary's response times, det-mode serving
+// replays the simulator exactly — is enforced dynamically by audit-tag
+// tests and -race stress. Those only
 // catch a nondeterminism source when a run happens to expose it; this
 // analyzer proves the absence of the known source classes on every
 // declared deterministic path, in every build.

@@ -33,11 +33,11 @@ func (o DiffOptions) withDefaults() DiffOptions {
 
 // sequentialSolver reports whether a solver name denotes a sequential
 // engine, i.e. one covered by the steady-state zero-allocation guarantee.
-// The parallel engine and the speculative prober allocate per run
-// (goroutine fan-out and worker bookkeeping) and their wall clocks are
-// scheduler-noisy, so they are exempt from both gates.
+// The parallel engine allocates per run (goroutine fan-out and worker
+// bookkeeping) and its wall clock is scheduler-noisy, so it is exempt
+// from both gates.
 func sequentialSolver(name string) bool {
-	return !strings.Contains(name, "parallel") && !strings.Contains(name, "spec")
+	return !strings.Contains(name, "parallel")
 }
 
 // cpuMismatch emits the informational note comparing the committed

@@ -127,7 +127,7 @@ func TestDiffServeGates(t *testing.T) {
 	}
 }
 
-// TestDiffServeUnmatchedEntries: new serve modes (the hot/cached workload)
+// TestDiffServeUnmatchedEntries: new serve modes (the hot workload)
 // appear in fresh reports before any baseline regeneration — they must
 // surface as information, not violations, and committed-only entries
 // likewise.
@@ -138,7 +138,7 @@ func TestDiffServeUnmatchedEntries(t *testing.T) {
 	}}
 	fresh := &ServeReport{Records: []ServeRecord{
 		{Cell: "c", Mode: "serve", Workers: 4, QPS: 3000, AllocsPerOp: 5},
-		{Cell: "c", Mode: "serve-hot-cached", Workers: 4, QPS: 9000, AllocsPerOp: 5},
+		{Cell: "c", Mode: "serve-hot", Workers: 4, QPS: 9000, AllocsPerOp: 5},
 	}}
 	v, infos := DiffServe(old, fresh, DiffOptions{TimingChecks: true})
 	if len(v) != 0 {
@@ -146,7 +146,7 @@ func TestDiffServeUnmatchedEntries(t *testing.T) {
 	}
 	var sawFresh, sawCommitted bool
 	for _, i := range infos {
-		sawFresh = sawFresh || strings.Contains(i, "serve-hot-cached")
+		sawFresh = sawFresh || strings.Contains(i, "serve-hot")
 		sawCommitted = sawCommitted || strings.Contains(i, "|8")
 	}
 	if !sawFresh || !sawCommitted {

@@ -103,7 +103,7 @@ func TestCompactPreservesPayload(t *testing.T) {
 }
 
 // TestCompactInvalidation covers the thaw rules: Resize and AddEdge drop
-// the frozen flag, Clone and CopyFrom carry it.
+// the frozen flag, Clone carries it.
 func TestCompactInvalidation(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 5)
@@ -117,12 +117,6 @@ func TestCompactInvalidation(t *testing.T) {
 		t.Error("Clone dropped the frozen CSR")
 	}
 	csrMatchesLists(t, c)
-	var d Graph
-	d.CopyFrom(g)
-	if !d.Compacted() {
-		t.Error("CopyFrom dropped the frozen CSR")
-	}
-	csrMatchesLists(t, &d)
 	g.AddEdge(0, 2, 1)
 	if g.Compacted() {
 		t.Error("AddEdge kept the graph frozen")
@@ -131,38 +125,5 @@ func TestCompactInvalidation(t *testing.T) {
 	g.Resize(4)
 	if g.Compacted() {
 		t.Error("Resize kept the graph frozen")
-	}
-}
-
-// TestCopyFromMatchesClone verifies CopyFrom produces the same deep copy
-// Clone does, while reusing the destination's arrays on repeat copies.
-func TestCopyFromMatchesClone(t *testing.T) {
-	rng := xrand.New(7)
-	g := randomArcGraph(rng)
-	g.Compact()
-	want := g.Clone()
-	var d Graph
-	for round := 0; round < 2; round++ {
-		d.CopyFrom(g)
-		if d.N != want.N || d.M() != want.M() {
-			t.Fatalf("round %d: copied shape %d/%d, want %d/%d", round, d.N, d.M(), want.N, want.M())
-		}
-		for a := 0; a < want.M(); a++ {
-			if d.To[a] != want.To[a] || d.Cap[a] != want.Cap[a] || d.Flow[a] != want.Flow[a] || d.Next[a] != want.Next[a] {
-				t.Fatalf("round %d: arc %d differs from Clone", round, a)
-			}
-		}
-		for v := 0; v < want.N; v++ {
-			if d.Head[v] != want.Head[v] {
-				t.Fatalf("round %d: Head[%d] differs", round, v)
-			}
-		}
-		csrMatchesLists(t, &d)
-		// Mutating the copy must not leak into the source.
-		d.Flow[0] = 41
-		if g.Flow[0] == 41 {
-			t.Fatal("CopyFrom aliased the source arrays")
-		}
-		d.Flow[0] = want.Flow[0]
 	}
 }

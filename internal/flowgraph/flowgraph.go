@@ -153,25 +153,6 @@ func (g *Graph) Compact() {
 	g.frozen = true
 }
 
-// CopyFrom overwrites g with a deep copy of src, reusing g's backing
-// arrays when they are large enough. It is the amortized counterpart of
-// Clone for the speculative probers, which copy the shared network into
-// per-goroutine scratch graphs once per probe round.
-// Amortized: allocates only while g's arrays are smaller than src's.
-//
-//imflow:allocok
-func (g *Graph) CopyFrom(src *Graph) {
-	g.N = src.N
-	g.To = append(g.To[:0], src.To...)
-	g.Cap = append(g.Cap[:0], src.Cap...)
-	g.Flow = append(g.Flow[:0], src.Flow...)
-	g.Next = append(g.Next[:0], src.Next...)
-	g.Head = append(g.Head[:0], src.Head...)
-	g.Start = append(g.Start[:0], src.Start...)
-	g.ArcIdx = append(g.ArcIdx[:0], src.ArcIdx...)
-	g.frozen = src.frozen
-}
-
 // Residual returns the residual capacity of arc a.
 func (g *Graph) Residual(a int) int64 { return g.Cap[a] - g.Flow[a] }
 

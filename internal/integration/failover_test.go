@@ -21,7 +21,6 @@ var failoverGridSolvers = []struct {
 	{"pr-binary-blackbox", func() retrieval.FailoverSolver { return retrieval.NewPRBinaryBlackBox() }},
 	{"pr-binary-highest", func() retrieval.FailoverSolver { return retrieval.NewPRBinaryHighestLabel() }},
 	{"pr-binary-parallel", func() retrieval.FailoverSolver { return retrieval.NewPRBinaryParallel(2) }},
-	{"pr-binary-spec", func() retrieval.FailoverSolver { return retrieval.NewPRBinarySpeculative(4) }},
 }
 
 // gridDeadBuckets recomputes, from the replica lists alone, the buckets a

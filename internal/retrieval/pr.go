@@ -134,13 +134,6 @@ type PRBinary struct {
 	st       incrementState
 	saved    []int64
 	mask     DiskMask // scratch for MarkFailed's fresh-solve fallback
-
-	// Speculative probing (see speculative.go): when specProbes >= 2 the
-	// binary search evaluates that many candidate thresholds concurrently
-	// on the per-goroutine scratch networks in probes. Zero means plain
-	// sequential bisection.
-	specProbes int
-	probes     []probeCtx
 }
 
 // NewPRBinary returns the integrated Algorithm 6 solver (sequential
@@ -179,29 +172,6 @@ func NewPRBinaryParallel(n int) *PRBinary {
 		name:     fmt.Sprintf("pr-binary-parallel(%d)", n),
 		factory:  ParallelEngine(n),
 		conserve: true,
-	}
-}
-
-// NewPRBinarySpeculative returns the integrated Algorithm 6 solver whose
-// binary search evaluates several candidate response times concurrently:
-// each round picks up to `probes` distinct thresholds inside the current
-// bracket and solves them on per-goroutine scratch copies of the network
-// (sequential FIFO engine each), then commits the largest infeasible
-// probe's flow — the conservation rule of the sequential search, whose
-// stored flows are exactly the infeasible ones — and tightens the bracket
-// to the surviving gap. It keeps Algorithm 6's plain bracket and does not
-// open at the capacity-cut bound the sequential search starts from, so
-// its probes, counters and conserved flows differ from pr-binary's and
-// so may its schedule among equally optimal ones; the response time is
-// the same optimum. probes <= 0 selects runtime.GOMAXPROCS(0); probes == 1
-// is the sequential conserve path unchanged.
-func NewPRBinarySpeculative(probes int) *PRBinary {
-	probes = threads.Normalize(probes)
-	return &PRBinary{
-		name:       fmt.Sprintf("pr-binary-spec(%d)", probes),
-		factory:    SequentialEngine,
-		conserve:   true,
-		specProbes: probes,
 	}
 }
 
@@ -256,24 +226,21 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 	res.Stats = Stats{Engine: engine.Name(), Warm: warm}
 	target := net.target()
 
-	// Bracket the optimum: tmax assumes every bucket is retrieved from the
-	// disk with the largest retrieval cost (all capacities reach |Q|, so
-	// tmax is feasible); tmin assumes the theoretical lower bound |Q|/N on
-	// the cheapest disk, minus one block of the fastest disk. We
-	// additionally clamp tmin below the fastest single-block completion
-	// time, which makes its infeasibility unconditional (any schedule
-	// retrieves at least one block from some disk). All bracket arithmetic
-	// saturates at cost.Max rather than wrapping.
+	// Bracket the optimum. The floor tmin assumes the theoretical lower
+	// bound |Q|/N on the cheapest disk, minus one block of the fastest
+	// disk. We additionally clamp tmin below the fastest single-block
+	// completion time, which makes its infeasibility unconditional (any
+	// schedule retrieves at least one block from some disk). The ceiling
+	// tmax is the makespan of every live disk serving all of its replicas:
+	// that schedule is feasible, and a live disk holds no more than target
+	// buckets. All bracket arithmetic saturates at cost.Max rather than
+	// wrapping.
 	minSpeed := cost.Max
 	tmin := cost.Max
-	var tmax cost.Micros
 	nTotal := cost.Micros(len(p.Disks))
 	for k, dp := range net.params {
 		if net.maskedSlot[k] {
 			continue // failed disks do not bound the bracket
-		}
-		if up := dp.Finish(target); up > tmax {
-			tmax = up
 		}
 		perDisk := cost.SatMul(cost.Micros(target), dp.Service) / nTotal
 		if lo := cost.SatAdd(cost.SatAdd(dp.Delay, dp.Load), perDisk); lo < tmin {
@@ -290,75 +257,54 @@ func (s *PRBinary) solveMasked(p *Problem, mask *DiskMask, res *Result) error {
 	if tmin < 0 {
 		tmin = 0
 	}
+	tmax := net.allReplicasTime()
 
-	if s.specProbes >= 2 {
-		// Speculative rounds (speculative.go): up to specProbes candidate
-		// thresholds are solved concurrently per round on scratch copies
-		// of the network, committing per the conservation rules. net.g
-		// comes back holding an infeasible flow valid at the returned
-		// tmin's capacities (or the warm carried flow when every probe of
-		// every round was feasible), so one DrainExcess makes the final
-		// stretch start exactly like the sequential conserve path.
-		tmin = s.speculativeSearch(res, target, tmin, tmax, minSpeed)
-		net.capsForTime(tmin)
-		net.g.DrainExcess(net.s, net.t)
+	if s.conserve && !warm {
+		s.saved = net.g.SnapshotFlows(s.saved) // all-zero snapshot
+	}
+	var done bool
+	if tmin, done = s.cutSearch(target, tmin, tmax, warm, res); done {
+		// The cut bound is feasible, so it is the optimum: the flow
+		// in net.g is maximal at its capacities.
 		s.st.reset(net)
-	} else {
-		// Every live disk serving all of its replicas is a feasible
-		// schedule, and a live disk holds no more than target buckets, so
-		// the sequential search narrows the ceiling to that schedule's
-		// makespan.
-		tmax = net.allReplicasTime()
-		if s.conserve && !warm {
-			s.saved = net.g.SnapshotFlows(s.saved) // all-zero snapshot
-		}
-		var done bool
-		if tmin, done = s.cutSearch(target, tmin, tmax, warm, res); done {
-			// The cut bound is feasible, so it is the optimum: the flow
-			// in net.g is maximal at its capacities.
-			s.st.reset(net)
-			res.Stats.Flow = *engine.Metrics()
-			return net.finishDegraded(res)
-		}
-		// The paper loops while (tmax - tmin) >= minSpeed over reals; with
-		// integer microseconds that admits a no-progress iteration when the
-		// bracket narrows to exactly minSpeed = 1us (tmid == tmin), so the
-		// strict comparison is required. The final incremental stretch closes
-		// any remaining gap either way.
-		for cost.SatSub(tmax, tmin) > minSpeed {
-			tmid := cost.SatAdd(tmin, cost.SatSub(tmax, tmin)/2)
-			if s.probe(tmid, target, warm, res) {
-				// Feasible: the optimum may be lower, so roll back to the last
-				// infeasible flow state and lower the ceiling. On the warm path
-				// the next probe's DrainExcess performs the equivalent cut-down
-				// in place, so there is nothing to restore.
-				if s.conserve && !warm {
-					net.g.RestoreFlows(s.saved)
-				}
-				tmax = tmid
-			} else {
-				tmin = tmid
-			}
-		}
-
-		// Final stretch: Algorithm 5 from tmin's capacities. At most N more
-		// increments separate tmin from the optimum.
-		if s.conserve {
-			if !warm {
+		res.Stats.Flow = *engine.Metrics()
+		return net.finishDegraded(res)
+	}
+	// The paper loops while (tmax - tmin) >= minSpeed over reals; with
+	// integer microseconds that admits a no-progress iteration when the
+	// bracket narrows to exactly minSpeed = 1us (tmid == tmin), so the
+	// strict comparison is required. The final incremental stretch closes
+	// any remaining gap either way.
+	for cost.SatSub(tmax, tmin) > minSpeed {
+		tmid := cost.SatAdd(tmin, cost.SatSub(tmax, tmin)/2)
+		if s.probe(tmid, target, warm, res) {
+			// Feasible: the optimum may be lower, so roll back to the last
+			// infeasible flow state and lower the ceiling. On the warm path
+			// the next probe's DrainExcess performs the equivalent cut-down
+			// in place, so there is nothing to restore.
+			if s.conserve && !warm {
 				net.g.RestoreFlows(s.saved)
 			}
+			tmax = tmid
 		} else {
-			net.g.ZeroFlows()
+			tmin = tmid
 		}
-		net.capsForTime(tmin)
-		if s.conserve && warm {
-			net.g.DrainExcess(net.s, net.t)
-		}
-		s.st.reset(net)
 	}
-	if !s.conserve {
+
+	// Final stretch: Algorithm 5 from tmin's capacities. At most N more
+	// increments separate tmin from the optimum.
+	if s.conserve {
+		if !warm {
+			net.g.RestoreFlows(s.saved)
+		}
+	} else {
 		net.g.ZeroFlows()
 	}
+	net.capsForTime(tmin)
+	if s.conserve && warm {
+		net.g.DrainExcess(net.s, net.t)
+	}
+	s.st.reset(net)
 	flow := engine.Run(net.s, net.t)
 	res.Stats.MaxflowRuns++
 	maxflow.Audit(net.g, net.s, net.t)

@@ -456,21 +456,6 @@ func (net *network) cutBound(lo, hi cost.Micros, target int64) cost.Micros {
 	return hi
 }
 
-// capsForTimeInto writes capsForTime's capacities into an arbitrary graph
-// with net.g's arc layout — a speculative probe's scratch copy. Only
-// net.params/maskedSlot/inDeg/diskArc are read (never written), so
-// concurrent calls against distinct graphs are safe; net.caps is left
-// untouched because the probe graphs never feed incrementMinCost.
-func (net *network) capsForTimeInto(g *flowgraph.Graph, t cost.Micros) {
-	for k, dp := range net.params {
-		if net.maskedSlot[k] {
-			g.SetCap(net.diskArc[k], 0)
-			continue
-		}
-		g.SetCap(net.diskArc[k], cost.BlocksWithin(dp.Delay, dp.Load, dp.Service, t, net.inDeg[k]))
-	}
-}
-
 // bucketVertex returns the vertex of bucket i.
 func (net *network) bucketVertex(i int) int { return 1 + i }
 

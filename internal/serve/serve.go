@@ -154,22 +154,6 @@ type Options struct {
 	// Batch caps how many queued queries a worker coalesces into one
 	// admission batch (one load snapshot, one write-back). <= 0 means 16.
 	Batch int
-	// BatchParallelism, when >= 2, fans each admission batch across a
-	// small pool of additional pinned solvers inside the worker: the
-	// batch's queries are solved concurrently against the batch-shared
-	// disk table, then written back serially in batch order (OnSchedule,
-	// load application, and results all observe the original ordering).
-	// The pool trades the serial path's intra-batch load feedback —
-	// queries in one batch no longer see the loads of their in-batch
-	// predecessors when choosing assignments, only the batch-start
-	// snapshot — for solve throughput; the reported response times still
-	// account for every predecessor, because the write-back replays the
-	// batch in order. Fault-mode batches bypass the pool (the in-place
-	// failover repair is inherently sequential), as do single-query
-	// batches. 0 or 1 means serial (the default); < 0 means one pool
-	// member per CPU (threads.Normalize). Incompatible with Deterministic
-	// mode, whose contract is exact sequential semantics.
-	BatchParallelism int
 	// NewSolver builds each worker's pinned solver. nil means
 	// retrieval.NewPRBinary. The factory must return a fresh solver per
 	// call: workers never share one.
@@ -213,19 +197,6 @@ type Options struct {
 	// RetryBackoff is the base of the exponential backoff (with jitter)
 	// between bounce repairs. <= 0 means 50µs.
 	RetryBackoff time.Duration
-	// CacheSize, when positive, enables each worker's signature-keyed
-	// solve cache: a bounded LRU keyed by the query's replica lists and
-	// the (quantized) disk table, tagged with the fault epoch, letting
-	// hot repeated queries skip the solver entirely. Incompatible with
-	// Deterministic mode, whose contract is bit-identity with sim replay.
-	CacheSize int
-	// CacheQuantum, when > 1, quantizes the busy-derived load X_j (rounds
-	// it down to a multiple of the quantum, in microseconds) in the disk
-	// table of cache-enabled workers, so near-identical load vectors
-	// share cache entries. Cached results stay bit-identical to a fresh
-	// solve of the same quantized problem; the quantum bounds the model
-	// error per disk. <= 1 (the default) keys on exact loads.
-	CacheQuantum cost.Micros
 }
 
 // FaultStats are the serving layer's graceful-degradation counters,
@@ -245,19 +216,7 @@ func (o Options) withDefaults() (Options, error) {
 		if o.Workers > 1 {
 			return o, fmt.Errorf("serve: deterministic mode is single-shard (got %d workers)", o.Workers)
 		}
-		if o.CacheSize > 0 {
-			return o, fmt.Errorf("serve: the solve cache is incompatible with deterministic mode (sim replay has no cache)")
-		}
-		if o.BatchParallelism > 1 || o.BatchParallelism < 0 {
-			return o, fmt.Errorf("serve: batch parallelism is incompatible with deterministic mode (replay needs exact sequential semantics)")
-		}
 		o.Workers = 1
-	}
-	if o.CacheSize > 0 && o.CacheQuantum <= 1 {
-		o.CacheQuantum = 1
-	}
-	if o.BatchParallelism < 0 {
-		o.BatchParallelism = threads.Normalize(o.BatchParallelism)
 	}
 	if o.Workers <= 0 {
 		o.Workers = threads.Normalize(o.Workers)
@@ -344,10 +303,8 @@ type Server struct {
 	nCanceled  atomic.Int64
 
 	// Solve-path counters (see SolveStats).
-	nSolves      atomic.Int64
-	nWarm        atomic.Int64
-	nCacheHits   atomic.Int64
-	nCacheMisses atomic.Int64
+	nSolves atomic.Int64
+	nWarm   atomic.Int64
 
 	// afterSolve, when non-nil, runs between a fault-mode solve and its
 	// mid-solve-failure check; in-package tests use it to inject a
@@ -356,22 +313,17 @@ type Server struct {
 }
 
 // SolveStats are the cross-query reuse counters: how many solver calls
-// ran, how many of those warm-started on the previous build, and the
-// solve-cache hit/miss split (zero when the cache is disabled).
+// ran and how many of those warm-started on the previous build.
 type SolveStats struct {
-	Solves      int64 // solver invocations (cache hits excluded)
-	WarmSolves  int64 // solver invocations that warm-started
-	CacheHits   int64 // queries served from the solve cache
-	CacheMisses int64 // cache probes that fell through to the solver
+	Solves     int64 // solver invocations
+	WarmSolves int64 // solver invocations that warm-started
 }
 
 // SolveStats snapshots the cross-query reuse counters.
 func (s *Server) SolveStats() SolveStats {
 	return SolveStats{
-		Solves:      s.nSolves.Load(),
-		WarmSolves:  s.nWarm.Load(),
-		CacheHits:   s.nCacheHits.Load(),
-		CacheMisses: s.nCacheMisses.Load(),
+		Solves:     s.nSolves.Load(),
+		WarmSolves: s.nWarm.Load(),
 	}
 }
 
@@ -544,7 +496,7 @@ func (s *Server) Start(ctx context.Context) {
 
 // now returns the wall clock as model microseconds since Start.
 //
-//imflow:detsafe wall-clock admission horizon, captured once per batch before any fan-out; every pool width sees the same value
+//imflow:detsafe wall-clock admission horizon of the online path only; serveDeterministic clocks on query arrivals and never calls this
 func (s *Server) now() cost.Micros {
 	return cost.Micros(time.Since(s.start) / time.Microsecond)
 }

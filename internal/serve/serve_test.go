@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"imflow/internal/cost"
 	"imflow/internal/decluster"
@@ -227,5 +228,139 @@ func TestSolverErrorPropagates(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "worker") {
 		t.Fatalf("error lost worker attribution: %v", err)
+	}
+}
+
+// hotQueries builds an admission stream that repeats one replica structure
+// for every query, so every query competes for the same disks.
+func hotQueries(stream []sim.Query) []Query {
+	qs := toServeQueries(stream)
+	for i := range qs {
+		qs[i].Replicas = qs[0].Replicas
+	}
+	return qs
+}
+
+// TestServeWarmSolveStats pins the warm-start counter: a single-shard
+// stream of structure-identical queries warms from the second solver call
+// on, so WarmSolves is exactly Solves-1 (every query solves).
+func TestServeWarmSolveStats(t *testing.T) {
+	sys, stream := testStream(t, 30, 3)
+	qs := hotQueries(stream)
+	s, err := New(sys, len(qs), Options{Workers: 1, Batch: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start(context.Background())
+	for _, q := range qs {
+		if err := s.Submit(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	ss := s.SolveStats()
+	if ss.Solves != int64(len(qs)) {
+		t.Fatalf("solves %d, want %d", ss.Solves, len(qs))
+	}
+	if ss.WarmSolves != ss.Solves-1 {
+		t.Errorf("warm solves %d of %d, want all but the first", ss.WarmSolves, ss.Solves)
+	}
+}
+
+// TestDeterministicDeadlineModelClock is the deterministic-deadline
+// regression test: with a Deadline on every query, replay must serve the
+// whole stream (the model age at serve time is zero — the clock is the
+// query's own arrival) and stay bit-identical to the sim replay, no matter
+// how slowly the wall clock ticks past the tiny deadline.
+func TestDeterministicDeadlineModelClock(t *testing.T) {
+	sys, stream := testStream(t, 50, 19)
+
+	replay, err := sim.New(sys, sim.SolverScheduler{Solver: retrieval.NewPRBinary()}).
+		Run(append([]sim.Query(nil), stream...))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	qs := toServeQueries(stream)
+	for i := range qs {
+		// Far below any plausible wall-clock scheduling jitter: the old
+		// wall-clock check rejected these nondeterministically.
+		qs[i].Deadline = time.Microsecond
+	}
+	results, err := Serve(context.Background(), sys, qs, Options{Deterministic: true, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Rejected {
+			t.Fatalf("query %d rejected by a model-clock deadline of age zero", i)
+		}
+		if r.ResponseTime != replay[i].ResponseTime || r.Finish != replay[i].Finish {
+			t.Fatalf("query %d: serve (%v,%v), sim (%v,%v)", i,
+				r.ResponseTime, r.Finish, replay[i].ResponseTime, replay[i].Finish)
+		}
+	}
+}
+
+// TestConcurrentBatchSeesPredecessorLoads pins the online path's
+// intra-batch load feedback: within one concurrent-mode admission batch,
+// every query is solved against a disk table whose load X_j already
+// includes the blocks each in-batch predecessor scheduled on disk j, times
+// that disk's service time. The batch is driven through the worker
+// directly (white-box) so it is exactly one admission batch on a fresh
+// server, where the predecessors are the only source of load.
+func TestConcurrentBatchSeesPredecessorLoads(t *testing.T) {
+	sys, stream := testStream(t, 8, 31)
+	qs := hotQueries(stream)
+
+	type seen struct {
+		loads  []cost.Micros
+		counts []int64
+	}
+	var got []seen
+	s, err := New(sys, len(qs), Options{
+		Workers: 1,
+		Batch:   len(qs),
+		OnSchedule: func(worker int, q *Query, p *retrieval.Problem, sch *retrieval.Schedule) {
+			v := seen{counts: append([]int64(nil), sch.Counts...)}
+			for j, d := range p.Disks {
+				if d.Service != sys.Disks[j].Service {
+					t.Errorf("query %d: disk %d service %v, system %v", q.Seq, j, d.Service, sys.Disks[j].Service)
+				}
+				v.loads = append(v.loads, d.Load)
+			}
+			got = append(got, v)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.started = true
+	s.start = time.Now()
+	if err := s.workers[0].serveBatch(qs); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(qs) {
+		t.Fatalf("OnSchedule saw %d queries, want %d", len(got), len(qs))
+	}
+	want := make([]cost.Micros, sys.NumDisks())
+	loaded := 0
+	for i, v := range got {
+		for j := range want {
+			if v.loads[j] != want[j] {
+				t.Fatalf("query %d: disk %d load %v, want %v from its in-batch predecessors", i, j, v.loads[j], want[j])
+			}
+			if want[j] > 0 {
+				loaded++
+			}
+		}
+		for j, k := range v.counts {
+			want[j] = cost.SatAdd(want[j], cost.SatMul(cost.Micros(k), sys.Disks[j].Service))
+		}
+	}
+	if loaded == 0 {
+		t.Fatal("no query saw a predecessor's load; the batch does not exercise intra-batch feedback")
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"imflow/internal/cost"
@@ -42,7 +41,7 @@ func (w *worker) record(r Result) {
 // paths only — the deterministic mode ignores Query.Ctx, because a
 // wall-clock cancellation check would make replay scheduling-dependent.
 //
-//imflow:detsafe cancellation is an external wall-clock event; canceled queries are recorded, never served, so pool width cannot change any served response
+//imflow:detsafe cancellation is an external wall-clock event; canceled queries are recorded, never served, and serveDeterministic never calls this
 //imflow:noalloc
 func (w *worker) rejectCanceled(q *Query) bool {
 	if q.Ctx == nil {
@@ -85,40 +84,10 @@ type worker struct {
 	conflicts []int
 	rng       *xrand.Source
 
-	// cache is the worker's signature-keyed solve cache (nil unless
-	// Options.CacheSize > 0). tableStale marks that a mid-batch fault
-	// refresh may have changed the slowdown factors, so the batch-shared
-	// disk table must be rebuilt before the next query uses it. cacheMu
-	// serializes probe/insert when the batch pool's members share the
-	// cache; the serial paths take it uncontended.
-	cache      *solveCache
-	cacheMu    sync.Mutex
+	// tableStale marks that a mid-batch fault refresh may have changed the
+	// slowdown factors, so the batch-shared disk table must be rebuilt
+	// before the next query uses it.
 	tableStale bool
-
-	// Batch-pool state (nil/empty unless Options.BatchParallelism >= 2):
-	// the extra pinned solvers the batch fans across, one pinned result
-	// slot per batch position (index-disjoint across pool members), and
-	// the batch positions that survived admission.
-	pool  []poolMember
-	slots []poolSlot
-	todo  []int
-}
-
-// poolMember is one pinned solver of the worker's intra-batch pool. Its
-// Problem's disk table aliases the worker's batch-shared table (read-only
-// while the pool is running); only the replica lists change per query.
-type poolMember struct {
-	solver retrieval.ReusableSolver
-	prob   retrieval.Problem
-	err    error
-}
-
-// poolSlot is the per-batch-position solve outcome: pinned like every
-// other worker buffer, so the schedule arrays converge to the workload's
-// peak shape and are then reused forever.
-type poolSlot struct {
-	res     retrieval.Result
-	dropped int
 }
 
 // newWorker builds worker id with its pinned solver and presized state.
@@ -137,20 +106,6 @@ func (s *Server) newWorker(id int) *worker {
 		rng:    xrand.New(0xfa171 + uint64(id)),
 	}
 	w.fsolver, _ = w.solver.(retrieval.FailoverSolver)
-	if s.opt.CacheSize > 0 {
-		w.cache = newSolveCache(s.opt.CacheSize)
-	}
-	if p := s.opt.BatchParallelism; p >= 2 && !s.opt.Deterministic {
-		w.pool = make([]poolMember, p)
-		for m := range w.pool {
-			w.pool[m].solver = s.opt.NewSolver()
-			// Alias the worker's batch-shared disk table: phase B reads it,
-			// nobody writes it while the pool runs.
-			w.pool[m].prob.Disks = w.prob.Disks
-		}
-		w.slots = make([]poolSlot, s.opt.Batch)
-		w.todo = make([]int, 0, s.opt.Batch)
-	}
 	for j := range w.slow {
 		w.slow[j] = 1
 	}
@@ -195,16 +150,10 @@ func (w *worker) loop(queue <-chan Query) {
 	}
 }
 
-// serveBatch dispatches on the server mode. The batch pool takes over
-// only for multi-query batches on the healthy online path: fault-mode
-// repair is inherently sequential, and a single query has nothing to fan
-// out.
+// serveBatch dispatches on the server mode.
 func (w *worker) serveBatch(batch []Query) error {
 	if w.srv.opt.Deterministic {
 		return w.serveDeterministic(batch)
-	}
-	if len(w.pool) > 0 && len(batch) > 1 && !w.srv.faultOn.Load() {
-		return w.serveBatchPool(batch)
 	}
 	return w.serveConcurrent(batch)
 }
@@ -321,12 +270,11 @@ func (w *worker) serveConcurrent(batch []Query) error {
 			if !served {
 				continue // rejected after retry exhaustion, already recorded
 			}
-		} else if !w.probeCache(&dropped) {
+		} else {
 			if err := w.solver.SolveInto(&w.prob, &w.res); err != nil {
 				return err
 			}
 			w.countSolve()
-			w.cacheInsert(dropped)
 		}
 		worst := w.applyLoads(w.local, now)
 		for j, k := range w.res.Schedule.Counts {
@@ -371,125 +319,6 @@ func (w *worker) serveConcurrent(batch []Query) error {
 	return nil
 }
 
-// serveBatchPool is the intra-batch parallel variant of serveConcurrent:
-// one shared-horizon snapshot and one batch-shared disk table (phase A),
-// the batch's queries solved concurrently across the pinned pool members
-// (phase B, round-robin by batch position), then a serial write-back in
-// exact batch order (phase C) — so OnSchedule, the load application, and
-// the recorded response times are ordered precisely as the serial path
-// orders them. The assignments themselves are chosen against the
-// batch-start table (no intra-batch load feedback; see
-// Options.BatchParallelism), but each reported response replays the batch
-// serially, so it accounts for every in-batch predecessor's load.
-//
-// The goroutine fan-out and its closures allocate per batch by design,
-// exactly like the parallel max-flow engine; the pool path is therefore a
-// boundary leaf of the noalloc walk.
-//
-//imflow:allocok
-//imflow:det
-func (w *worker) serveBatchPool(batch []Query) error {
-	s := w.srv
-	now := s.now()
-	s.mu.Lock()
-	copy(w.local, s.busyUntil)
-	s.mu.Unlock()
-	for j := range w.added {
-		w.added[j] = 0
-	}
-	w.buildDiskTable(w.local, now)
-
-	// Phase A: admission. Reject late queries up front so the pool only
-	// sees solvable work.
-	todo := w.todo[:0]
-	for i := range batch {
-		q := &batch[i]
-		if !w.rejectCanceled(q) && !w.rejectLate(q) {
-			todo = append(todo, i)
-		}
-	}
-	w.todo = todo
-	if len(todo) == 0 {
-		return nil
-	}
-
-	// Phase B: parallel solve against the shared table. Member m owns
-	// batch positions todo[m], todo[m+P], ... — slots are index-disjoint,
-	// the disk table is read-only, and the solve cache is serialized by
-	// cacheMu inside probeCacheInto/cacheInsertFrom.
-	p := len(w.pool)
-	if p > len(todo) {
-		p = len(todo)
-	}
-	var wg sync.WaitGroup
-	for m := 0; m < p; m++ {
-		pm := &w.pool[m]
-		pm.err = nil
-		wg.Add(1)
-		//lint:ignore detpath index-disjoint slots solved against a read-only table; the serial phase-C write-back replays batch order, so results are pool-width-invariant
-		go func(m int) {
-			defer wg.Done()
-			for j := m; j < len(todo); j += p {
-				i := todo[j]
-				slot := &w.slots[i]
-				slot.dropped = 0
-				pm.prob.Replicas = batch[i].Replicas
-				if w.probeCacheInto(&pm.prob, &slot.res, &slot.dropped) {
-					continue
-				}
-				if err := pm.solver.SolveInto(&pm.prob, &slot.res); err != nil {
-					pm.err = err
-					return
-				}
-				w.countSolveFor(&slot.res)
-				w.cacheInsertFrom(&pm.prob, &slot.res, slot.dropped)
-			}
-		}(m)
-	}
-	wg.Wait()
-	for m := range w.pool {
-		if err := w.pool[m].err; err != nil {
-			return err
-		}
-	}
-
-	// Phase C: serial write-back in batch order.
-	for _, i := range todo {
-		q := &batch[i]
-		slot := &w.slots[i]
-		worst := w.applyLoadsFor(slot.res.Schedule, w.local, now)
-		for j, k := range slot.res.Schedule.Counts {
-			w.added[j] += k
-		}
-		w.countDegraded(slot.dropped)
-		if s.opt.OnSchedule != nil {
-			w.prob.Replicas = q.Replicas
-			s.opt.OnSchedule(w.id, q, &w.prob, slot.res.Schedule)
-		}
-		w.record(Result{
-			Seq:          q.Seq,
-			Worker:       w.id,
-			ResponseTime: worst,
-			Finish:       cost.SatAdd(now, worst),
-			Latency:      sinceSubmit(q),
-			Dropped:      slot.dropped,
-		})
-	}
-	s.mu.Lock()
-	for j, k := range w.added {
-		if k == 0 {
-			continue
-		}
-		start := s.busyUntil[j]
-		if start < now {
-			start = now
-		}
-		s.busyUntil[j] = cost.SatAdd(start, cost.SatMul(cost.Micros(k), w.prob.Disks[j].Service))
-	}
-	s.mu.Unlock()
-	return nil
-}
-
 // rejectLate rejects a query whose admission deadline elapsed (wall
 // clock) while it sat in the shard queue. Concurrent mode only.
 //
@@ -524,103 +353,14 @@ func (w *worker) rejectLateAt(q *Query, clock cost.Micros) bool {
 	return true
 }
 
-// countSolveFor folds one completed solver call into the reuse counters.
+// countSolve folds one completed solver call into the reuse counters.
 //
 //imflow:noalloc
-func (w *worker) countSolveFor(res *retrieval.Result) {
+func (w *worker) countSolve() {
 	w.srv.nSolves.Add(1)
-	if res.Stats.Warm {
+	if w.res.Stats.Warm {
 		w.srv.nWarm.Add(1)
 	}
-}
-
-// countSolve is countSolveFor on the worker's own pinned result.
-//
-//imflow:noalloc
-func (w *worker) countSolve() { w.countSolveFor(&w.res) }
-
-// probeCacheInto serves problem p from the solve cache if it holds a
-// same-epoch entry for exactly this key, materializing the hit into res.
-// cacheMu makes the probe-and-materialize atomic against the batch pool's
-// concurrent inserts (which may evict the probed entry); the serial paths
-// take the lock uncontended.
-//
-//imflow:noalloc
-func (w *worker) probeCacheInto(p *retrieval.Problem, res *retrieval.Result, dropped *int) bool {
-	if w.cache == nil {
-		return false
-	}
-	w.cacheMu.Lock()
-	i, ok := w.cache.probe(p, w.epoch)
-	if !ok {
-		w.cacheMu.Unlock()
-		w.srv.nCacheMisses.Add(1)
-		return false
-	}
-	w.materializeInto(res, &w.cache.entries[i], dropped)
-	w.cacheMu.Unlock()
-	w.srv.nCacheHits.Add(1)
-	return true
-}
-
-// probeCache is probeCacheInto on the worker's own pinned problem/result.
-//
-//imflow:noalloc
-func (w *worker) probeCache(dropped *int) bool {
-	return w.probeCacheInto(&w.prob, &w.res, dropped)
-}
-
-// materializeInto fills a pinned Result from a cache entry.
-// Amortized: the Schedule buffers grow to the workload's peak shape once
-// and are then reused, exactly like the solver's own extract path.
-//
-//imflow:allocok
-func (w *worker) materializeInto(res *retrieval.Result, e *cacheEntry, dropped *int) {
-	if res.Schedule == nil {
-		res.Schedule = &retrieval.Schedule{}
-	}
-	sch := res.Schedule
-	if cap(sch.Assignment) < len(e.asn) {
-		sch.Assignment = make([]int, len(e.asn))
-	}
-	sch.Assignment = sch.Assignment[:len(e.asn)]
-	if cap(sch.Counts) < len(e.disks) {
-		sch.Counts = make([]int64, len(e.disks))
-	}
-	sch.Counts = sch.Counts[:len(e.disks)]
-	for j := range sch.Counts {
-		sch.Counts[j] = 0
-	}
-	for i, d := range e.asn {
-		sch.Assignment[i] = int(d)
-		if d >= 0 {
-			sch.Counts[d]++
-		}
-	}
-	sch.ResponseTime = e.resp
-	res.Stats = retrieval.Stats{Engine: "cache"}
-	*dropped = int(e.dropped)
-}
-
-// cacheInsertFrom records a just-solved assignment for p under the
-// batch's epoch, serialized against concurrent pool members by cacheMu.
-//
-//imflow:noalloc
-func (w *worker) cacheInsertFrom(p *retrieval.Problem, res *retrieval.Result, dropped int) {
-	if w.cache == nil {
-		return
-	}
-	w.cacheMu.Lock()
-	w.cache.insert(p, w.epoch, res, dropped)
-	w.cacheMu.Unlock()
-}
-
-// cacheInsert is cacheInsertFrom on the worker's own pinned
-// problem/result.
-//
-//imflow:noalloc
-func (w *worker) cacheInsert(dropped int) {
-	w.cacheInsertFrom(&w.prob, &w.res, dropped)
 }
 
 // countDegraded folds one served query into the graceful-degradation
@@ -661,14 +401,10 @@ func (w *worker) solveMasked(dropped *int) error {
 // jitter; exhaustion rejects the query (recorded, served=false).
 func (w *worker) solveFaulty(q *Query, now cost.Micros, dropped, failovers *int) (served bool, err error) {
 	s := w.srv
-	cached := w.probeCache(dropped)
-	if !cached {
-		if err := w.solveMasked(dropped); err != nil {
-			return false, err
-		}
-		w.countSolve()
-		w.cacheInsert(*dropped)
+	if err := w.solveMasked(dropped); err != nil {
+		return false, err
 	}
+	w.countSolve()
 	if s.afterSolve != nil {
 		s.afterSolve(w, q)
 	}
@@ -688,21 +424,6 @@ func (w *worker) solveFaulty(q *Query, now cost.Micros, dropped, failovers *int)
 		attempt++
 		s.nRetries.Add(1)
 		w.backoff(attempt)
-		if cached {
-			// A cache hit bypassed the solver, so its residual network
-			// does not correspond to this assignment and MarkFailed
-			// cannot repair it in place. Fall back to a full solve under
-			// the refreshed snapshot (the table rebuild picks up any
-			// slowdown changes the refresh observed).
-			cached = false
-			w.buildDiskTable(w.local, now)
-			if err := w.solveMasked(dropped); err != nil {
-				return false, err
-			}
-			w.countSolve()
-			w.cacheInsert(*dropped)
-			continue
-		}
 		for _, d := range w.conflicts {
 			*failovers++
 			s.nFailovers.Add(1)
@@ -793,9 +514,7 @@ func (w *worker) buildDiskTable(busy []cost.Micros, now cost.Micros) {
 
 // refreshDisk recomputes one disk's table row: the system parameters with
 // the residual busy time (as seen at now) as the initial load X_j, exactly
-// as sim.Simulator.ProblemAt computes it. Cache-enabled workers quantize
-// the load (rounding down to Options.CacheQuantum) so near-identical busy
-// vectors share cache keys.
+// as sim.Simulator.ProblemAt computes it.
 //
 //imflow:noalloc
 func (w *worker) refreshDisk(j int, busy []cost.Micros, now cost.Micros) {
@@ -803,11 +522,6 @@ func (w *worker) refreshDisk(j int, busy []cost.Micros, now cost.Micros) {
 	load := cost.Micros(0)
 	if busy[j] > now {
 		load = cost.SatSub(busy[j], now)
-	}
-	if w.cache != nil {
-		if quantum := w.srv.opt.CacheQuantum; quantum > 1 {
-			load = cost.SatSub(load, load%quantum)
-		}
 	}
 	service, delay := d.Service, d.Delay
 	if f := w.slow[j]; f > 1 {
@@ -827,16 +541,8 @@ func (w *worker) refreshDisk(j int, busy []cost.Micros, now cost.Micros) {
 //
 //imflow:noalloc
 func (w *worker) applyLoads(busy []cost.Micros, now cost.Micros) cost.Micros {
-	return w.applyLoadsFor(w.res.Schedule, busy, now)
-}
-
-// applyLoadsFor is applyLoads for an explicit schedule — the batch pool's
-// phase C replays each slot's schedule through it in batch order.
-//
-//imflow:noalloc
-func (w *worker) applyLoadsFor(sch *retrieval.Schedule, busy []cost.Micros, now cost.Micros) cost.Micros {
 	var worst cost.Micros
-	for j, k := range sch.Counts {
+	for j, k := range w.res.Schedule.Counts {
 		if k == 0 {
 			continue
 		}
