@@ -84,9 +84,8 @@ bench-serve:
 bench-serve-smoke:
 	$(GO) run ./cmd/imflow-serve-bench -smoke -out BENCH_serve.json
 
-## bench-fault: regenerate BENCH_fault.json — conserved-flow failover
-## repair latency vs a fresh masked re-solve at 1..2 failed disks, and
-## degraded serving throughput (qps, p99) at 0..2 failed disks.
+## bench-fault: regenerate BENCH_fault.json — degraded serving
+## throughput (qps, p99) at 0..2 failed disks.
 bench-fault:
 	$(GO) run ./cmd/imflow-serve-bench -fault -out BENCH_fault.json
 

@@ -34,7 +34,7 @@ func main() {
 	threads := flag.Int("threads", 0, "workers for the parallel engine (default 2)")
 	expNum := flag.Int("exp", 0, "Table IV experiment number (default 2)")
 	baselineMaxN := flag.Int("baseline-max-n", 0,
-		"largest grid the quadratic reference engines (ek, rtf, scaling-ek) run on (default 32)")
+		"largest grid the quadratic reference engine (ek) runs on (default 32)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the measured suite to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile (after the suite) to this file")
 	flag.Parse()

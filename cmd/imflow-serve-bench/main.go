@@ -5,10 +5,9 @@
 // latency, worker-scaling curve), and a hot repeated-query workload per
 // worker count, written as BENCH_serve.json.
 //
-// With -fault it runs the fault-injection suite instead: per cell, the
-// conserved-flow failover repair timed against a fresh masked re-solve at
-// 1..2 failed disks, and degraded serving throughput (queries/sec, p99)
-// at 0..2 failed disks, written as BENCH_fault.json.
+// With -fault it runs the fault-injection suite instead: per cell,
+// degraded serving throughput (queries/sec, p99) at 0..2 failed disks,
+// written as BENCH_fault.json.
 //
 // With -http it runs the overload suite instead: per cell and shed
 // policy, a live httpd front end on a loopback listener is calibrated
@@ -155,14 +154,8 @@ func runFaultSuite(smoke bool, out, ns, workers string, queries int, seed uint64
 	writeReport(out, report, len(report.Records))
 
 	for _, r := range report.Records {
-		switch r.Mode {
-		case "failover":
-			fmt.Fprintf(os.Stderr, "%-28s failover       failed=%d %8.0f ns conserved %8.0f ns fresh %6.2fx speedup %8.0fus p99\n",
-				r.Cell, r.FailedDisks, r.ConservedNsPerOp, r.FreshNsPerOp, r.SpeedupVsFresh, r.FailoverP99Us)
-		case "serve-degraded":
-			fmt.Fprintf(os.Stderr, "%-28s serve-degraded failed=%d %9.0f q/s %8.0fus p99 %6.2fx vs healthy %6d dropped\n",
-				r.Cell, r.FailedDisks, r.QPS, r.P99LatencyUs, r.QPSvsHealthy, r.DroppedBuckets)
-		}
+		fmt.Fprintf(os.Stderr, "%-28s serve-degraded failed=%d %9.0f q/s %8.0fus p99 %6.2fx vs healthy %6d dropped\n",
+			r.Cell, r.FailedDisks, r.QPS, r.P99LatencyUs, r.QPSvsHealthy, r.DroppedBuckets)
 	}
 }
 

@@ -63,8 +63,8 @@ type (
 	// around it (see FailoverSolver).
 	DiskMask = retrieval.DiskMask
 	// FailoverSolver is a solver that handles disk failures: degraded
-	// (masked) solves with partial retrieval, and in-place MarkFailed
-	// failover that conserves all flow not routed through the failed disk.
+	// (masked) solves with partial retrieval. A disk that fails after a
+	// solve is handled by solving again under the grown mask.
 	FailoverSolver = retrieval.FailoverSolver
 	// InfeasibleError names the buckets a degraded solve had to drop
 	// because every replica was on a failed disk.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"imflow/internal/experiment"
 	"imflow/internal/maxflow"
 	"imflow/internal/query"
-	"imflow/internal/retrieval"
 	"imflow/internal/serve"
 	"imflow/internal/sim"
 	"imflow/internal/stats"
@@ -69,31 +67,20 @@ func SmokeFaultOptions() FaultOptions {
 	return FaultOptions{Ns: []int{10}, Queries: 120, Workers: 2}.withDefaults()
 }
 
-// FaultRecord is one fault-injection measurement. Failover records time
-// the conserved-flow in-place repair (FailoverSolver.MarkFailed) against
-// a fresh masked re-solve of the same degraded problem; serve-degraded
-// records measure server throughput with 0..MaxFailed disks failed.
+// FaultRecord is one fault-injection measurement: server throughput with
+// FailedDisks of 0..MaxFailed disks failed.
 type FaultRecord struct {
 	Cell        string `json:"cell"`
 	N           int    `json:"n"`
-	Mode        string `json:"mode"` // "failover" or "serve-degraded"
+	Mode        string `json:"mode"` // "serve-degraded"
 	Solver      string `json:"solver"`
 	FailedDisks int    `json:"failed_disks"`
 	Queries     int    `json:"queries"`
 	Workers     int    `json:"workers,omitempty"`
 
-	// Failover records: per-incident latency of repairing FailedDisks
-	// sequential failures in place, the fresh masked re-solve of the same
-	// end state, and their ratio (the conserved-vs-fresh speedup).
-	ConservedNsPerOp float64 `json:"conserved_ns_per_op,omitempty"`
-	FreshNsPerOp     float64 `json:"fresh_ns_per_op,omitempty"`
-	SpeedupVsFresh   float64 `json:"speedup_vs_fresh,omitempty"`
-	FailoverP50Us    float64 `json:"failover_p50_us,omitempty"`
-	FailoverP99Us    float64 `json:"failover_p99_us,omitempty"`
-
-	// Serve-degraded records: saturation throughput and decision-latency
-	// percentiles with the failed disks masked, plus the degradation
-	// counters the server accumulated.
+	// Saturation throughput and decision-latency percentiles with the
+	// failed disks masked, plus the degradation counters the server
+	// accumulated.
 	ElapsedNs    int64   `json:"elapsed_ns,omitempty"`
 	QPS          float64 `json:"queries_per_sec,omitempty"`
 	P50LatencyUs float64 `json:"p50_latency_us,omitempty"`
@@ -117,8 +104,7 @@ type FaultReport struct {
 	Records    []FaultRecord `json:"records"`
 }
 
-// RunFault executes the fault-injection suite: per cell, failover
-// micro-measurements at 1..MaxFailed failed disks and degraded serving
+// RunFault executes the fault-injection suite: per cell, degraded serving
 // throughput at 0..MaxFailed failed disks.
 func RunFault(o FaultOptions) (*FaultReport, error) {
 	o = o.withDefaults()
@@ -146,15 +132,6 @@ func RunFault(o FaultOptions) (*FaultReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		for k := 1; k <= o.MaxFailed; k++ {
-			rec, err := measureFailover(inst.System, inst.Problems, k)
-			if err != nil {
-				return nil, fmt.Errorf("bench: cell %s: %d failed: %w", cfg, k, err)
-			}
-			rec.Cell, rec.N = cfg.String(), n
-			report.Records = append(report.Records, rec)
-		}
-
 		spec := sim.StreamSpec{
 			System:   inst.System,
 			Alloc:    inst.Alloc,
@@ -185,75 +162,6 @@ func RunFault(o FaultOptions) (*FaultReport, error) {
 		}
 	}
 	return report, nil
-}
-
-// busiestLive returns the live disk carrying the most blocks of the
-// schedule, -1 when nothing is scheduled on a live disk.
-func busiestLive(counts []int64, mask *retrieval.DiskMask) int {
-	best, bestCount := -1, int64(0)
-	for j, c := range counts {
-		if c > bestCount && !mask.Failed(j) {
-			best, bestCount = j, c
-		}
-	}
-	return best
-}
-
-// measureFailover times, per problem, an incident of k sequential disk
-// failures (always the busiest live disk — the worst case for the amount
-// of flow to reroute) repaired in place by the conserved-flow failover,
-// against a fresh masked solve of the same degraded problem.
-func measureFailover(sys *storage.System, problems []*retrieval.Problem, k int) (FaultRecord, error) {
-	rec := FaultRecord{Mode: "failover", Solver: "pr-binary", FailedDisks: k, Queries: len(problems)}
-	conserved := retrieval.NewPRBinary()
-	freshSolver := retrieval.NewPRBinary()
-	mask := retrieval.NewDiskMask(sys.NumDisks())
-	var res, freshRes retrieval.Result
-	var conservedNs, freshNs int64
-	incidentUs := make([]float64, 0, len(problems))
-	for _, p := range problems {
-		mask.Reset(sys.NumDisks())
-		if err := conserved.SolveInto(p, &res); err != nil {
-			return rec, err
-		}
-		incidentStart := time.Now()
-		for f := 0; f < k; f++ {
-			d := busiestLive(res.Schedule.Counts, mask)
-			if d < 0 {
-				break // everything already stranded; nothing left to fail
-			}
-			mask.MarkFailed(d)
-			if err := conserved.MarkFailed(d, &res); err != nil {
-				var inf *retrieval.InfeasibleError
-				if !errors.As(err, &inf) {
-					return rec, err
-				}
-				rec.DroppedBuckets += int64(len(inf.Buckets))
-			}
-		}
-		incident := time.Since(incidentStart)
-		conservedNs += incident.Nanoseconds()
-		incidentUs = append(incidentUs, float64(incident.Microseconds()))
-
-		freshStart := time.Now()
-		if err := freshSolver.SolveMaskedInto(p, mask, &freshRes); err != nil {
-			var inf *retrieval.InfeasibleError
-			if !errors.As(err, &inf) {
-				return rec, err
-			}
-		}
-		freshNs += time.Since(freshStart).Nanoseconds()
-	}
-	ops := float64(len(problems))
-	rec.ConservedNsPerOp = float64(conservedNs) / ops
-	rec.FreshNsPerOp = float64(freshNs) / ops
-	if conservedNs > 0 {
-		rec.SpeedupVsFresh = float64(freshNs) / float64(conservedNs)
-	}
-	pcts := stats.Percentiles(incidentUs, 50, 99)
-	rec.FailoverP50Us = pcts[0]
-	rec.FailoverP99Us = pcts[1]
-	return rec, nil
 }
 
 // measureServeDegraded times one saturation pass of the concurrent server
@@ -309,11 +217,10 @@ func measureServeDegraded(sys *storage.System, stream []sim.Query, failed int, o
 // DiffFault compares a fresh BENCH_fault.json against the committed
 // baseline. Records are matched on (cell, mode, failed disks, workers);
 // entries present in only one document are informational. Machine-
-// independent gates (always on): a degraded pass with failed disks must
-// count every query as degraded, and every failover incident must have
-// been measured. Timing gates (disabled by -allocs-only): conserved repair
-// latency and degraded throughput within MaxRatio of the baseline, skipped
-// with a note when the committed entry carries no usable timing.
+// independent gate (always on): a degraded pass with failed disks must
+// count every query as degraded. Timing gate (disabled by -allocs-only):
+// degraded throughput within MaxRatio of the baseline, skipped with a
+// note when the committed entry carries no usable timing.
 func DiffFault(old, fresh *FaultReport, o DiffOptions) (violations, infos []string) {
 	o = o.withDefaults()
 	baseline := make(map[string]FaultRecord, len(old.Records))
@@ -326,16 +233,9 @@ func DiffFault(old, fresh *FaultReport, o DiffOptions) (violations, infos []stri
 		matched[key(r)] = false
 	}
 	for _, r := range fresh.Records {
-		switch r.Mode {
-		case "failover":
-			if r.ConservedNsPerOp <= 0 || r.FreshNsPerOp <= 0 {
-				violations = append(violations, fmt.Sprintf("%s failover failed=%d: empty measurement", r.Cell, r.FailedDisks))
-			}
-		case "serve-degraded":
-			if r.FailedDisks > 0 && r.DegradedQueries != int64(r.Queries) {
-				violations = append(violations, fmt.Sprintf("%s serve-degraded failed=%d: %d/%d queries counted degraded",
-					r.Cell, r.FailedDisks, r.DegradedQueries, r.Queries))
-			}
+		if r.FailedDisks > 0 && r.DegradedQueries != int64(r.Queries) {
+			violations = append(violations, fmt.Sprintf("%s serve-degraded failed=%d: %d/%d queries counted degraded",
+				r.Cell, r.FailedDisks, r.DegradedQueries, r.Queries))
 		}
 		base, ok := baseline[key(r)]
 		if !ok {
@@ -346,21 +246,11 @@ func DiffFault(old, fresh *FaultReport, o DiffOptions) (violations, infos []stri
 		if !o.TimingChecks {
 			continue
 		}
-		if r.Mode == "failover" {
-			if base.ConservedNsPerOp <= 0 {
-				infos = append(infos, fmt.Sprintf("fault: committed entry %q has no repair timing; timing gate skipped", key(r)))
-			} else if r.ConservedNsPerOp > base.ConservedNsPerOp*o.MaxRatio {
-				violations = append(violations, fmt.Sprintf("%s failover failed=%d: conserved repair %.0f ns/op, committed %.0f (> %.2fx)",
-					r.Cell, r.FailedDisks, r.ConservedNsPerOp, base.ConservedNsPerOp, o.MaxRatio))
-			}
-		}
-		if r.Mode == "serve-degraded" {
-			if base.QPS <= 0 {
-				infos = append(infos, fmt.Sprintf("fault: committed entry %q has no throughput; timing gate skipped", key(r)))
-			} else if r.QPS < base.QPS/o.MaxRatio {
-				violations = append(violations, fmt.Sprintf("%s serve-degraded failed=%d: %.0f queries/sec, committed %.0f (> %.2fx slower)",
-					r.Cell, r.FailedDisks, r.QPS, base.QPS, o.MaxRatio))
-			}
+		if base.QPS <= 0 {
+			infos = append(infos, fmt.Sprintf("fault: committed entry %q has no throughput; timing gate skipped", key(r)))
+		} else if r.QPS < base.QPS/o.MaxRatio {
+			violations = append(violations, fmt.Sprintf("%s serve-degraded failed=%d: %.0f queries/sec, committed %.0f (> %.2fx slower)",
+				r.Cell, r.FailedDisks, r.QPS, base.QPS, o.MaxRatio))
 		}
 	}
 	return violations, append(infos, unmatchedBaselines("fault", matched)...)

@@ -15,37 +15,27 @@ func TestRunFaultShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per cell: a failover record per failed-disk count (1..MaxFailed)
-	// plus a serve-degraded record per count (0..MaxFailed).
-	if len(report.Records) != 5 {
-		t.Fatalf("%d records, want 5", len(report.Records))
+	// Per cell: a serve-degraded record per failed-disk count
+	// (0..MaxFailed).
+	if len(report.Records) != 3 {
+		t.Fatalf("%d records, want 3", len(report.Records))
 	}
 	for _, r := range report.Records {
-		switch r.Mode {
-		case "failover":
-			if r.FailedDisks < 1 || r.ConservedNsPerOp <= 0 || r.FreshNsPerOp <= 0 || r.SpeedupVsFresh <= 0 {
-				t.Errorf("failover failed=%d: empty measurement %+v", r.FailedDisks, r)
-			}
-			if r.FailoverP50Us > r.FailoverP99Us {
-				t.Errorf("failover failed=%d: percentiles not monotone: %v %v",
-					r.FailedDisks, r.FailoverP50Us, r.FailoverP99Us)
-			}
-		case "serve-degraded":
-			if r.QPS <= 0 || r.ElapsedNs <= 0 {
-				t.Errorf("serve-degraded failed=%d: non-positive throughput %+v", r.FailedDisks, r)
-			}
-			if r.FailedDisks == 0 && (r.DegradedQueries != 0 || r.DroppedBuckets != 0) {
-				t.Errorf("healthy pass counted degradation: %+v", r)
-			}
-			if r.FailedDisks > 0 && r.DegradedQueries != int64(r.Queries) {
-				t.Errorf("serve-degraded failed=%d: %d/%d queries counted degraded",
-					r.FailedDisks, r.DegradedQueries, r.Queries)
-			}
-			if r.QPSvsHealthy <= 0 {
-				t.Errorf("serve-degraded failed=%d: qps_vs_healthy %v", r.FailedDisks, r.QPSvsHealthy)
-			}
-		default:
+		if r.Mode != "serve-degraded" {
 			t.Errorf("unknown mode %q", r.Mode)
+		}
+		if r.QPS <= 0 || r.ElapsedNs <= 0 {
+			t.Errorf("serve-degraded failed=%d: non-positive throughput %+v", r.FailedDisks, r)
+		}
+		if r.FailedDisks == 0 && (r.DegradedQueries != 0 || r.DroppedBuckets != 0) {
+			t.Errorf("healthy pass counted degradation: %+v", r)
+		}
+		if r.FailedDisks > 0 && r.DegradedQueries != int64(r.Queries) {
+			t.Errorf("serve-degraded failed=%d: %d/%d queries counted degraded",
+				r.FailedDisks, r.DegradedQueries, r.Queries)
+		}
+		if r.QPSvsHealthy <= 0 {
+			t.Errorf("serve-degraded failed=%d: qps_vs_healthy %v", r.FailedDisks, r.QPSvsHealthy)
 		}
 	}
 	if _, err := json.Marshal(report); err != nil {
@@ -60,7 +50,7 @@ func TestRunFaultShape(t *testing.T) {
 	broken := *report
 	broken.Records = append([]FaultRecord(nil), report.Records...)
 	for i := range broken.Records {
-		if broken.Records[i].Mode == "serve-degraded" && broken.Records[i].FailedDisks > 0 {
+		if broken.Records[i].FailedDisks > 0 {
 			broken.Records[i].DegradedQueries = 0
 			break
 		}

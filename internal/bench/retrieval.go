@@ -23,12 +23,11 @@ type RetrievalOptions struct {
 	Threads int    // worker count for the parallel engine
 	ExpNum  int    // Table IV experiment (default 2: generalized, heterogeneous)
 
-	// BaselineMaxN caps the grid size for the quadratic reference engines
-	// (Edmonds-Karp, relabel-to-front, scaling EK). On an N x N grid a range
-	// query reaches O(N^2) buckets, and those engines are superlinear in the
-	// vertex count — at N=60 relabel-to-front alone needs tens of minutes,
-	// which would make `make bench` irreproducible in practice. Cells larger
-	// than this run only the paper's solvers and the near-linear engines.
+	// BaselineMaxN caps the grid size for the quadratic reference engine
+	// (Edmonds-Karp). On an N x N grid a range query reaches O(N^2)
+	// buckets, and that engine is superlinear in the vertex count, which
+	// would make `make bench` impractically slow. Cells larger than this
+	// run only the paper's solvers and the near-linear engines.
 	BaselineMaxN int
 }
 
@@ -140,14 +139,6 @@ func retrievalSolvers(threads int) []benchSolver {
 		{mk: func() retrieval.ReusableSolver {
 			return retrieval.NewPRBinaryWithEngine("pr-binary-dinic",
 				func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewDinic(g) })
-		}},
-		{baseline: true, mk: func() retrieval.ReusableSolver {
-			return retrieval.NewPRBinaryWithEngine("pr-binary-rtf",
-				func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewRelabelToFront(g) })
-		}},
-		{baseline: true, mk: func() retrieval.ReusableSolver {
-			return retrieval.NewPRBinaryWithEngine("pr-binary-scaling-ek",
-				func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewScalingEdmondsKarp(g) })
 		}},
 	}
 }

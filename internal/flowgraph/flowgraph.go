@@ -187,8 +187,7 @@ func (g *Graph) SetCap(a int, capacity int64) {
 // fits again, so conservation holds at every vertex afterward. This is the
 // cross-query warm-start repair: the conserved flow of the previous solve,
 // drained to the new (possibly lower) capacities, is a feasible flow of
-// the new network the engines can augment from, exactly as the failover
-// path's whole-path cancellation feeds the conserved resume.
+// the new network the engines can augment from.
 //
 // The current flow must be feasible apart from the overfull arcs and
 // decomposable into simple s-t paths (no flow cycles) — true for every

@@ -24,7 +24,6 @@ var csrSequentialEngines = []struct {
 }{
 	{"push-relabel", func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewPushRelabel(g) }},
 	{"highest-label", func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewHighestLabel(g) }},
-	{"relabel-to-front", func(g *flowgraph.Graph) maxflow.Engine { return maxflow.NewRelabelToFront(g) }},
 }
 
 func assertGraphsBitIdentical(t *testing.T, name string, round int, list, csr *flowgraph.Graph) {

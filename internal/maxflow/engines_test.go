@@ -112,32 +112,6 @@ func TestPushRelabelIntervalVariants(t *testing.T) {
 	}
 }
 
-// TestScalingEdmondsKarpLargeCapacities: capacity scaling shines when arc
-// capacities are large; verify correctness there.
-func TestScalingEdmondsKarpLargeCapacities(t *testing.T) {
-	rng := xrand.New(77)
-	for trial := 0; trial < 30; trial++ {
-		n := 5 + rng.Intn(15)
-		g := flowgraph.New(n)
-		for i := 0; i < 3*n; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v || v == 0 || u == n-1 {
-				continue
-			}
-			g.AddEdge(u, v, int64(rng.Intn(1_000_000))+1)
-		}
-		want := NewEdmondsKarp(g.Clone()).Run(0, n-1)
-		got := NewScalingEdmondsKarp(g).Run(0, n-1)
-		if got != want {
-			t.Fatalf("trial %d: scaling EK %d, want %d", trial, got, want)
-		}
-		sek := NewScalingEdmondsKarp(g)
-		if sek.Metrics() == nil {
-			t.Fatal("nil metrics")
-		}
-	}
-}
-
 // TestMetricsPopulatedPerEngine: every engine must account its work.
 func TestMetricsPopulatedPerEngine(t *testing.T) {
 	rng := xrand.New(99)
@@ -151,7 +125,7 @@ func TestMetricsPopulatedPerEngine(t *testing.T) {
 			t.Errorf("%s: no arc scans recorded", e.Name())
 		}
 		switch e.(type) {
-		case *FordFulkerson, *EdmondsKarp, *Dinic, *ScalingEdmondsKarp:
+		case *FordFulkerson, *EdmondsKarp, *Dinic:
 			if m.Augmentations == 0 {
 				t.Errorf("%s: no augmentations recorded", e.Name())
 			}

@@ -1,27 +1,16 @@
-// Failure-aware retrieval: disk masks, partial (degraded) solves, and the
-// integrated conserved-flow failover re-solve.
+// Failure-aware retrieval: disk masks and partial (degraded) solves.
 //
-// The paper's network only ever *gains* capacity during a solve, which is
-// what lets the integrated algorithms conserve flow. A disk failure is the
-// opposite event — capacity vanishes — but it destroys only the flow routed
-// through the failed disk: cancel exactly those units, pin the disk's sink
-// capacity at zero, and the remaining flow is still a feasible flow of the
-// masked network whose capacities sit at the last threshold of the
-// increment walk. Re-running the engine and, if needed, continuing the
-// Algorithm 3 threshold walk from that state therefore lands exactly on the
-// masked optimum (see DESIGN.md §10 for the argument). The one case the
-// raise-only framework cannot track is a failure that strands buckets
-// (every replica failed): the stranded buckets leave the flow target, the
-// optimum may *decrease*, and the solver falls back to a fresh masked
-// solve.
+// A failed disk keeps its slot in the flow network, so arc indices match
+// the healthy build, but its sink capacity is pinned at zero. Buckets
+// whose every replica is on a failed disk leave the flow target; the solve
+// returns a valid partial schedule for the rest and an *InfeasibleError
+// naming them. A disk that fails after a solve is absorbed by solving
+// again under the grown mask (see DESIGN.md §10).
 package retrieval
 
 import (
 	"errors"
 	"fmt"
-
-	"imflow/internal/cost"
-	"imflow/internal/maxflow"
 )
 
 // ErrInfeasible is the sentinel wrapped by every infeasibility error in
@@ -98,8 +87,8 @@ func (m *DiskMask) MarkFailed(disk int) bool {
 }
 
 // Recover marks a disk healthy again and reports whether its state
-// changed. Note that the integrated solvers cannot *lower* a conserved
-// state's capacities, so recovery always implies a fresh solve.
+// changed. A solver picks the recovery up on its next masked solve: the
+// mask no longer matches the built network, so that solve rebuilds.
 // Allocates only on the out-of-range panic path.
 //
 //imflow:allocok
@@ -165,11 +154,11 @@ func (m *DiskMask) CopyFrom(other *DiskMask) {
 
 // FailoverSolver is a ReusableSolver that understands disk failures: it
 // can solve a problem under a DiskMask (degraded solve with partial
-// retrieval) and can absorb a single disk failure *in place* via
-// MarkFailed, conserving all flow not routed through the failed disk. The
-// generalized integrated solvers (FFIncremental, PRIncremental, PRBinary)
-// implement it; FFBasic does not (the basic problem has no failure model)
-// and the Oracle offers the one-shot SolveMasked instead.
+// retrieval). The generalized integrated solvers (FFIncremental,
+// PRIncremental, PRBinary) implement it; FFBasic does not (the basic
+// problem has no failure model) and the Oracle offers the one-shot
+// SolveMasked instead. A disk that fails after a solve is handled by
+// solving again under the grown mask.
 type FailoverSolver interface {
 	ReusableSolver
 
@@ -180,124 +169,11 @@ type FailoverSolver interface {
 	// partial schedule (dropped buckets read -1). A nil mask is a normal
 	// solve.
 	SolveMaskedInto(p *Problem, mask *DiskMask, res *Result) error
-
-	// MarkFailed fails one more disk of the problem last solved by this
-	// solver and re-solves into res. Flow not routed through the failed
-	// disk is conserved: only the cancelled units are re-augmented, from
-	// the capacities the previous solve ended at. When the failure strands
-	// buckets the solver falls back to a fresh masked solve (the optimum
-	// may decrease, which the raise-only integrated state cannot follow).
-	// res.Stats is reset, so its counters measure the failover alone.
-	// MarkFailed requires the previous solve on this solver to have
-	// succeeded (an *InfeasibleError counts as success); masking a disk
-	// that is already failed or holds no replica of the query just
-	// re-extracts the current schedule.
-	MarkFailed(disk int, res *Result) error
-}
-
-// failAction tells a MarkFailed implementation how to proceed after the
-// network absorbed the failure.
-type failAction int
-
-const (
-	failNoop     failAction = iota // nothing routed through the disk changed
-	failConserve                   // flow cancelled; resume from conserved state
-	failFresh                      // buckets stranded; fresh masked solve required
-)
-
-// beginFailure applies a single-disk failure to the network: cancel the
-// flow routed through the disk, pin its sink capacity at zero, and drop
-// newly stranded buckets from the flow target. It reports how the caller
-// must re-solve.
-// Runs at fault events, not per request; error exits allocate reports.
-//
-//imflow:allocok
-func (net *network) beginFailure(disk int) (failAction, error) {
-	if net.prob == nil {
-		return failNoop, errors.New("retrieval: MarkFailed before any solve")
-	}
-	if disk < 0 || disk >= len(net.prob.Disks) {
-		return failNoop, fmt.Errorf("retrieval: MarkFailed(%d) outside the %d-disk system", disk, len(net.prob.Disks))
-	}
-	slot := int(net.vtxSlot[disk]) - 1
-	if slot < 0 || net.maskedSlot[slot] {
-		return failNoop, nil
-	}
-	net.cancelAndMaskSlot(slot)
-	if net.refreshDead() > 0 {
-		return failFresh, nil
-	}
-	return failConserve, nil
-}
-
-// cancelAndMaskSlot cancels every unit of flow routed through
-// participating disk slot k and masks the slot. Each unit is a
-// source->bucket->disk->sink path; cancelling whole paths keeps the
-// remaining flow conserved at every vertex, so the engines can resume
-// from it directly.
-//
-//imflow:noalloc
-func (net *network) cancelAndMaskSlot(k int) {
-	g := net.g
-	v := net.diskVtx[k]
-	var cancelled int64
-	for a := g.Head[v]; a >= 0; a = g.Next[a] {
-		// Odd arcs out of a disk vertex are the duals of bucket->disk
-		// arcs; negative dual flow marks a bucket routed through this
-		// disk.
-		if a%2 == 1 && g.Flow[a] < 0 {
-			i := int(g.To[a]) - 1
-			g.Push(int(a)^1, -1)      // un-route bucket -> disk
-			g.Push(net.srcArc[i], -1) // un-route source -> bucket
-			cancelled++
-		}
-	}
-	if cancelled > 0 {
-		g.Push(net.diskArc[k], -cancelled) // un-route disk -> sink
-	}
-	net.maskedSlot[k] = true
-	net.setCap(k, 0)
-}
-
-// refreshDead rescans the replica lists for buckets stranded by the
-// current slot mask, zeroes their source arcs, and rebuilds net.dead in
-// ascending order. It returns the number of newly stranded buckets; their
-// flow must already have been cancelled (a stranded bucket was served by
-// a failed disk).
-func (net *network) refreshDead() int {
-	added := 0
-	for i, reps := range net.prob.Replicas {
-		if net.deadMark[i] {
-			continue
-		}
-		alive := false
-		for _, d := range reps {
-			if !net.maskedSlot[int(net.vtxSlot[d])-1] {
-				alive = true
-				break
-			}
-		}
-		if alive {
-			continue
-		}
-		net.deadMark[i] = true
-		net.g.SetCap(net.srcArc[i], 0)
-		added++
-	}
-	if added > 0 {
-		net.dead = net.dead[:0]
-		for i, d := range net.deadMark[:net.q] {
-			if d {
-				net.dead = append(net.dead, i)
-			}
-		}
-	}
-	return added
 }
 
 // maskFromSlots materializes the network's current slot mask as a
-// DiskMask over global disk IDs, reusing m's backing array. Used by the
-// fresh-solve fallback of MarkFailed.
+// DiskMask over global disk IDs, reusing m's backing array. Used by
+// PRBinary.MarkFailed.
 func (net *network) maskFromSlots(m *DiskMask) *DiskMask {
 	m.Reset(len(net.prob.Disks))
 	for k, failed := range net.maskedSlot[:len(net.diskIDs)] {
@@ -311,8 +187,8 @@ func (net *network) maskFromSlots(m *DiskMask) *DiskMask {
 // finishDegraded extracts the (possibly partial) schedule of the current
 // flow into res and returns nil for a full retrieval or an
 // *InfeasibleError naming the dead buckets for a partial one.
-// The degraded exit allocates its partial-schedule report; failover is
-// off the steady-state path.
+// The degraded exit allocates its partial-schedule report; partial
+// retrieval is off the steady-state path.
 //
 //imflow:allocok
 func (net *network) finishDegraded(res *Result) error {
@@ -333,84 +209,9 @@ func (net *network) finishDegraded(res *Result) error {
 	return &InfeasibleError{Buckets: append([]int(nil), net.dead...)}
 }
 
-// resumePR re-augments a conserved flow to the masked optimum for the
-// push-relabel solvers: run the engine at the conserved capacities, then
-// continue the Algorithm 3 threshold walk until the flow target is met
-// again. The conserved capacities equal capsForTime of the pre-failure
-// optimum, and the masked optimum is no smaller (the flow target is
-// unchanged on this path), so the first feasible threshold reached is
-// exactly the masked optimum.
-func resumePR(net *network, engine maxflow.Engine, st *incrementState, res *Result) error {
-	target := net.target()
-	flow := engine.Run(net.s, net.t)
-	res.Stats.MaxflowRuns++
-	maxflow.Audit(net.g, net.s, net.t)
-	for flow < target {
-		if st.incrementMinCost(net) == cost.Max {
-			//lint:ignore noalloc infeasible-failover exit; allocates only when the retrieval is already failing
-			return fmt.Errorf("retrieval: failover flow %d short of %d with all disk edges saturated: %w",
-				flow, target, ErrInfeasible)
-		}
-		res.Stats.Increments++
-		flow = engine.Run(net.s, net.t)
-		res.Stats.MaxflowRuns++
-		maxflow.Audit(net.g, net.s, net.t)
-	}
-	res.Stats.Flow = *engine.Metrics()
-	return nil
-}
-
-// resumeFF is resumePR for the Ford-Fulkerson solver: the cancelled
-// buckets (source arc back at zero flow) are re-routed one at a time with
-// the same DFS + increment loop the original solve used.
-func resumeFF(net *network, ff *maxflow.FordFulkerson, st *incrementState, res *Result) error {
-	g := net.g
-	for i := 0; i < net.q; i++ {
-		if net.deadMark[i] || g.Flow[net.srcArc[i]] != 0 {
-			continue // dropped, or still routed through a live disk
-		}
-		g.Push(net.srcArc[i], 1)
-		for ff.AugmentFromAvoiding(net.bucketVertex(i), net.t, net.s) == 0 {
-			if st.incrementMinCost(net) == cost.Max {
-				//lint:ignore noalloc infeasible-failover exit; allocates only when the retrieval is already failing
-				return fmt.Errorf("retrieval: failover bucket %d unroutable with all disk edges saturated: %w",
-					i, ErrInfeasible)
-			}
-			res.Stats.Increments++
-		}
-		res.Stats.MaxflowRuns++
-		maxflow.AuditFlow(g, net.s, net.t)
-	}
-	maxflow.Audit(g, net.s, net.t)
-	res.Stats.Flow = *ff.Metrics()
-	return nil
-}
-
 // SolveMaskedInto implements FailoverSolver.
 func (s *FFIncremental) SolveMaskedInto(p *Problem, mask *DiskMask, res *Result) error {
 	return s.solveMasked(p, mask, res)
-}
-
-// MarkFailed implements FailoverSolver.
-func (s *FFIncremental) MarkFailed(disk int, res *Result) error {
-	act, err := s.net.beginFailure(disk)
-	if err != nil {
-		return err
-	}
-	switch act {
-	case failFresh:
-		return s.solveMasked(s.net.prob, s.net.maskFromSlots(&s.mask), res)
-	case failConserve:
-		res.Stats = Stats{Engine: s.ff.Name()}
-		*s.ff.Metrics() = maxflow.Metrics{}
-		s.st.reset(&s.net)
-		if err := resumeFF(&s.net, s.ff, &s.st, res); err != nil {
-			return err
-		}
-	default: // failNoop: the schedule is unchanged
-		res.Stats = Stats{Engine: s.ff.Name()}
-	}
-	return s.net.finishDegraded(res)
 }
 
 // SolveMaskedInto implements FailoverSolver.
@@ -418,55 +219,23 @@ func (s *PRIncremental) SolveMaskedInto(p *Problem, mask *DiskMask, res *Result)
 	return s.solveMasked(p, mask, res)
 }
 
-// MarkFailed implements FailoverSolver.
-func (s *PRIncremental) MarkFailed(disk int, res *Result) error {
-	act, err := s.net.beginFailure(disk)
-	if err != nil {
-		return err
-	}
-	switch act {
-	case failFresh:
-		return s.solveMasked(s.net.prob, s.net.maskFromSlots(&s.mask), res)
-	case failConserve:
-		res.Stats = Stats{Engine: s.engine.Name()}
-		*s.engine.Metrics() = maxflow.Metrics{}
-		s.st.reset(&s.net)
-		if err := resumePR(&s.net, s.engine, &s.st, res); err != nil {
-			return err
-		}
-	default: // failNoop: the schedule is unchanged
-		res.Stats = Stats{Engine: s.engine.Name()}
-	}
-	return s.net.finishDegraded(res)
-}
-
 // SolveMaskedInto implements FailoverSolver.
 func (s *PRBinary) SolveMaskedInto(p *Problem, mask *DiskMask, res *Result) error {
 	return s.solveMasked(p, mask, res)
 }
 
-// MarkFailed implements FailoverSolver. The conserved resume is identical
-// to PRIncremental's: after any solve (binary-scaled or not) the
-// capacities sit at capsForTime of the optimum, which is all the resume
-// needs. The black-box variant shares it — failover is inherently an
-// integrated operation; the black box only describes how full solves run.
+// MarkFailed fails one more disk of the problem last solved by s and
+// re-solves it under the mask of the previous solve plus disk. Failing a
+// disk that is already failed or holds no replica of the query re-solves
+// to the same schedule.
 func (s *PRBinary) MarkFailed(disk int, res *Result) error {
-	act, err := s.net.beginFailure(disk)
-	if err != nil {
-		return err
+	if s.net.prob == nil {
+		return errors.New("retrieval: MarkFailed before any solve")
 	}
-	switch act {
-	case failFresh:
-		return s.solveMasked(s.net.prob, s.net.maskFromSlots(&s.mask), res)
-	case failConserve:
-		res.Stats = Stats{Engine: s.engine.Name()}
-		*s.engine.Metrics() = maxflow.Metrics{}
-		s.st.reset(&s.net)
-		if err := resumePR(&s.net, s.engine, &s.st, res); err != nil {
-			return err
-		}
-	default: // failNoop: the schedule is unchanged
-		res.Stats = Stats{Engine: s.engine.Name()}
+	if disk < 0 || disk >= len(s.net.prob.Disks) {
+		return fmt.Errorf("retrieval: MarkFailed(%d) outside the %d-disk system", disk, len(s.net.prob.Disks))
 	}
-	return s.net.finishDegraded(res)
+	mask := s.net.maskFromSlots(&s.mask)
+	mask.MarkFailed(disk)
+	return s.solveMasked(s.net.prob, mask, res)
 }

@@ -210,55 +210,6 @@ func TestPropertySolveMaskedMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPropertyMarkFailedMatchesFreshMaskedSolve is the failover headline
-// invariant: solving, then failing disks one at a time with MarkFailed
-// (conserving all surviving flow), lands on exactly the response time of a
-// fresh solve of the masked problem — for every engine, including the
-// stranded-bucket fallback path.
-func TestPropertyMarkFailedMatchesFreshMaskedSolve(t *testing.T) {
-	check := func(seed uint64) bool {
-		p := problemFromSeed(seed, seed%4 == 0)
-		rng := xrand.New(seed ^ 0xdeadd15c)
-		nFail := 1 + rng.Intn(2) // 1 or 2 failed disks
-		if nFail > len(p.Disks) {
-			nFail = len(p.Disks)
-		}
-		fails := rng.Sample(len(p.Disks), nFail)
-		mask := NewDiskMask(len(p.Disks))
-		for _, fs := range failoverSolvers {
-			s := fs.mk()
-			res := &Result{}
-			if err := s.SolveInto(p, res); err != nil {
-				t.Logf("seed %d: %s baseline: %v", seed, fs.name, err)
-				return false
-			}
-			mask.Reset(len(p.Disks))
-			for _, d := range fails {
-				mask.MarkFailed(d)
-				err := s.MarkFailed(d, res)
-				wantDead := deadBuckets(p, mask)
-				if !checkDegraded(t, fs.name+"/failover", p, res, err, wantDead) {
-					return false
-				}
-				fres := &Result{}
-				ferr := fs.mk().SolveMaskedInto(p, mask, fres)
-				if !checkDegraded(t, fs.name+"/fresh", p, fres, ferr, wantDead) {
-					return false
-				}
-				if res.Schedule.ResponseTime != fres.Schedule.ResponseTime {
-					t.Logf("seed %d: %s failover after failing %d: response %v, fresh masked solve %v",
-						seed, fs.name, d, res.Schedule.ResponseTime, fres.Schedule.ResponseTime)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestPartialRetrievalMinCutDeficit property-tests the partial-retrieval
 // contract against the min-cut: on an independent feasibility network
 // (source arcs cap 1 for *every* bucket, failed disks' sink arcs at zero,
@@ -318,7 +269,8 @@ func TestPartialRetrievalMinCutDeficit(t *testing.T) {
 	}
 }
 
-// TestMarkFailedEdgeCases covers the no-op and error paths of MarkFailed.
+// TestMarkFailedEdgeCases covers the no-op and error paths of
+// PRBinary.MarkFailed.
 func TestMarkFailedEdgeCases(t *testing.T) {
 	p := &Problem{
 		Disks: []DiskParams{
@@ -326,46 +278,43 @@ func TestMarkFailedEdgeCases(t *testing.T) {
 		},
 		Replicas: [][]int{{0, 1}, {1, 2}, {0, 2}},
 	}
-	for _, fs := range failoverSolvers {
-		s := fs.mk()
-		res := &Result{}
-		if err := s.MarkFailed(0, res); err == nil {
-			t.Fatalf("%s: MarkFailed before solve accepted", fs.name)
+	s := NewPRBinary()
+	res := &Result{}
+	if err := s.MarkFailed(0, res); err == nil {
+		t.Fatal("MarkFailed before solve accepted")
+	}
+	if err := s.SolveInto(p, res); err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	base := res.Schedule.ResponseTime
+	if err := s.MarkFailed(99, res); err == nil {
+		t.Fatal("MarkFailed(99) accepted")
+	}
+	// Disk 3 holds no replica of this query: failing it is a no-op.
+	if err := s.MarkFailed(3, res); err != nil {
+		t.Fatalf("MarkFailed(non-participant): %v", err)
+	}
+	if res.Schedule.ResponseTime != base {
+		t.Fatalf("non-participant failure changed response %v -> %v", base, res.Schedule.ResponseTime)
+	}
+	if err := s.MarkFailed(1, res); err != nil {
+		t.Fatalf("MarkFailed(1): %v", err)
+	}
+	after := res.Schedule.ResponseTime
+	if err := p.ValidatePartialSchedule(res.Schedule, nil); err != nil {
+		t.Fatalf("post-failover schedule: %v", err)
+	}
+	for i, d := range res.Schedule.Assignment {
+		if d == 1 {
+			t.Fatalf("bucket %d still assigned to failed disk", i)
 		}
-		if err := s.SolveInto(p, res); err != nil {
-			t.Fatalf("%s: solve: %v", fs.name, err)
-		}
-		base := res.Schedule.ResponseTime
-		if err := s.MarkFailed(99, res); err == nil {
-			t.Fatalf("%s: MarkFailed(99) accepted", fs.name)
-		}
-		// Disk 3 holds no replica of this query: failing it is a no-op.
-		if err := s.MarkFailed(3, res); err != nil {
-			t.Fatalf("%s: MarkFailed(non-participant): %v", fs.name, err)
-		}
-		if res.Schedule.ResponseTime != base {
-			t.Fatalf("%s: non-participant failure changed response %v -> %v",
-				fs.name, base, res.Schedule.ResponseTime)
-		}
-		if err := s.MarkFailed(1, res); err != nil {
-			t.Fatalf("%s: MarkFailed(1): %v", fs.name, err)
-		}
-		after := res.Schedule.ResponseTime
-		if err := p.ValidatePartialSchedule(res.Schedule, nil); err != nil {
-			t.Fatalf("%s: post-failover schedule: %v", fs.name, err)
-		}
-		for i, d := range res.Schedule.Assignment {
-			if d == 1 {
-				t.Fatalf("%s: bucket %d still assigned to failed disk", fs.name, i)
-			}
-		}
-		// Failing the same disk again is a no-op.
-		if err := s.MarkFailed(1, res); err != nil {
-			t.Fatalf("%s: repeated MarkFailed: %v", fs.name, err)
-		}
-		if res.Schedule.ResponseTime != after {
-			t.Fatalf("%s: repeated failure changed response", fs.name)
-		}
+	}
+	// Failing the same disk again is a no-op.
+	if err := s.MarkFailed(1, res); err != nil {
+		t.Fatalf("repeated MarkFailed: %v", err)
+	}
+	if res.Schedule.ResponseTime != after {
+		t.Fatal("repeated failure changed response")
 	}
 }
 
@@ -377,37 +326,35 @@ func TestMarkFailedAllReplicasDown(t *testing.T) {
 		Disks:    []DiskParams{{Service: 1000}, {Service: 800}, {Service: 1200}},
 		Replicas: [][]int{{0}, {0, 1}, {1, 2}},
 	}
-	for _, fs := range failoverSolvers {
-		s := fs.mk()
-		res := &Result{}
-		if err := s.SolveInto(p, res); err != nil {
-			t.Fatalf("%s: solve: %v", fs.name, err)
-		}
-		err := s.MarkFailed(0, res)
-		var inf *InfeasibleError
-		if !errors.As(err, &inf) || !sameInts(inf.Buckets, []int{0}) {
-			t.Fatalf("%s: MarkFailed(0) err %v, want InfeasibleError{[0]}", fs.name, err)
-		}
-		if err := p.ValidatePartialSchedule(res.Schedule, []int{0}); err != nil {
-			t.Fatalf("%s: partial schedule: %v", fs.name, err)
-		}
-		// Everything failed: the solve degrades to the empty retrieval.
-		if err := s.MarkFailed(1, res); err == nil {
-			t.Fatalf("%s: expected infeasibility after failing disk 1", fs.name)
-		}
-		err = s.MarkFailed(2, res)
-		if !errors.As(err, &inf) || !sameInts(inf.Buckets, []int{0, 1, 2}) {
-			t.Fatalf("%s: all-disks-down err %v", fs.name, err)
-		}
-		if res.Schedule.ResponseTime != 0 {
-			t.Fatalf("%s: empty retrieval response %v, want 0", fs.name, res.Schedule.ResponseTime)
-		}
+	s := NewPRBinary()
+	res := &Result{}
+	if err := s.SolveInto(p, res); err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	err := s.MarkFailed(0, res)
+	var inf *InfeasibleError
+	if !errors.As(err, &inf) || !sameInts(inf.Buckets, []int{0}) {
+		t.Fatalf("MarkFailed(0) err %v, want InfeasibleError{[0]}", err)
+	}
+	if err := p.ValidatePartialSchedule(res.Schedule, []int{0}); err != nil {
+		t.Fatalf("partial schedule: %v", err)
+	}
+	// Everything failed: the solve degrades to the empty retrieval.
+	if err := s.MarkFailed(1, res); err == nil {
+		t.Fatal("expected infeasibility after failing disk 1")
+	}
+	err = s.MarkFailed(2, res)
+	if !errors.As(err, &inf) || !sameInts(inf.Buckets, []int{0, 1, 2}) {
+		t.Fatalf("all-disks-down err %v", err)
+	}
+	if res.Schedule.ResponseTime != 0 {
+		t.Fatalf("empty retrieval response %v, want 0", res.Schedule.ResponseTime)
 	}
 }
 
 // TestRecoveryRequiresFreshSolve documents the recovery contract: a
-// recovered disk re-enters through a fresh masked solve (conserved state
-// cannot lower capacities), which must land back on the original optimum.
+// recovered disk re-enters through the next masked solve, which must land
+// back on the original optimum.
 func TestRecoveryRequiresFreshSolve(t *testing.T) {
 	p := problemFromSeed(1234, false)
 	mask := NewDiskMask(len(p.Disks))
@@ -420,8 +367,8 @@ func TestRecoveryRequiresFreshSolve(t *testing.T) {
 		healthy := res.Schedule.ResponseTime
 		mask.Reset(len(p.Disks))
 		mask.MarkFailed(0)
-		if err := s.MarkFailed(0, res); err != nil && !errors.Is(err, ErrInfeasible) {
-			t.Fatalf("%s: MarkFailed: %v", fs.name, err)
+		if err := s.SolveMaskedInto(p, mask, res); err != nil && !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("%s: masked solve: %v", fs.name, err)
 		}
 		mask.Recover(0)
 		if err := s.SolveMaskedInto(p, mask, res); err != nil {
@@ -433,43 +380,38 @@ func TestRecoveryRequiresFreshSolve(t *testing.T) {
 	}
 }
 
-// TestMarkFailedSteadyStateAllocs gates the conserved failover path the
-// same way SolveInto is gated: once buffers have converged, a solve
-// followed by a flow-conserving MarkFailed performs no heap allocations.
+// TestMarkFailedSteadyStateAllocs gates the failover path the same way
+// SolveInto is gated: once buffers have converged, a solve followed by a
+// MarkFailed re-solve performs no heap allocations.
 func TestMarkFailedSteadyStateAllocs(t *testing.T) {
 	if maxflow.AuditEnabled {
 		t.Skip("imflow_audit builds allocate in the audit hooks")
 	}
 	// Every bucket keeps a live replica after disk 0 fails, so the
-	// conserved path (not the fresh-solve fallback) is exercised.
+	// re-solve is a full retrieval (no InfeasibleError report).
 	p := &Problem{
 		Disks:    []DiskParams{{Service: 1000}, {Service: 1100}, {Service: 900}},
 		Replicas: [][]int{{0, 1}, {0, 2}, {1, 2}, {0, 1}, {2, 0}},
 	}
-	for _, fs := range failoverSolvers {
-		if fs.name == "pr-binary-parallel" {
-			continue // the goroutine-fanning solver allocates per run by design
+	s := NewPRBinary()
+	res := &Result{}
+	for i := 0; i < 2; i++ {
+		if err := s.SolveInto(p, res); err != nil {
+			t.Fatalf("warm-up: %v", err)
 		}
-		s := fs.mk()
-		res := &Result{}
-		for i := 0; i < 2; i++ {
-			if err := s.SolveInto(p, res); err != nil {
-				t.Fatalf("%s: warm-up: %v", fs.name, err)
-			}
-			if err := s.MarkFailed(0, res); err != nil {
-				t.Fatalf("%s: warm-up failover: %v", fs.name, err)
-			}
+		if err := s.MarkFailed(0, res); err != nil {
+			t.Fatalf("warm-up failover: %v", err)
 		}
-		avg := testing.AllocsPerRun(10, func() {
-			if err := s.SolveInto(p, res); err != nil {
-				t.Fatalf("%s: %v", fs.name, err)
-			}
-			if err := s.MarkFailed(0, res); err != nil {
-				t.Fatalf("%s: failover: %v", fs.name, err)
-			}
-		})
-		if avg != 0 {
-			t.Errorf("%s: %v allocs per steady-state solve+failover, want 0", fs.name, avg)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if err := s.SolveInto(p, res); err != nil {
+			t.Fatal(err)
 		}
+		if err := s.MarkFailed(0, res); err != nil {
+			t.Fatalf("failover: %v", err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("%v allocs per steady-state solve+failover, want 0", avg)
 	}
 }

@@ -107,10 +107,9 @@ func (s *FFBasic) SolveInto(p *Problem, res *Result) error {
 // incremented (Algorithm 3). The flow found for earlier buckets is
 // conserved throughout — the DFS works on the same residual graph.
 type FFIncremental struct {
-	net  network
-	ff   *maxflow.FordFulkerson
-	st   incrementState
-	mask DiskMask // scratch for MarkFailed's fresh-solve fallback
+	net network
+	ff  *maxflow.FordFulkerson
+	st  incrementState
 }
 
 // NewFFIncremental returns the Algorithm 2 solver.

@@ -41,7 +41,6 @@ type PRIncremental struct {
 	net     network
 	engine  maxflow.Engine
 	st      incrementState
-	mask    DiskMask // scratch for MarkFailed's fresh-solve fallback
 }
 
 // NewPRIncremental returns the Algorithm 5 solver with the sequential
@@ -133,7 +132,7 @@ type PRBinary struct {
 	engine   maxflow.Engine
 	st       incrementState
 	saved    []int64
-	mask     DiskMask // scratch for MarkFailed's fresh-solve fallback
+	mask     DiskMask // scratch for MarkFailed's grown mask
 }
 
 // NewPRBinary returns the integrated Algorithm 6 solver (sequential

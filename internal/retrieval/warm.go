@@ -16,8 +16,8 @@
 //   - PRBinary with conservation: the previous query's maximal flow. Its
 //     snapshot/rollback dance is replaced by flowgraph.DrainExcess — at
 //     every capacity probe the carried flow is drained to the new
-//     capacities (whole-path cancellation, mirroring the failover repair)
-//     and the engine augments only the difference. The feasibility of
+//     capacities (whole-path cancellation) and the engine augments only
+//     the difference. The feasibility of
 //     each probe is a property of the capacities alone (the max-flow
 //     value is unique), so the bracket trajectory, the step counters, and
 //     the final response time are bit-identical to a cold solve.

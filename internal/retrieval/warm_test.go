@@ -161,10 +161,11 @@ func TestPropertyWarmSolveBitIdentical(t *testing.T) {
 }
 
 // TestWarmAcrossFailoverTransitions covers the mask half of the signature:
-// after MarkFailed repairs a solve in place, a masked re-solve with the
-// matching mask warms (the built slot mask agrees), while dropping back to
-// the healthy problem is a structure change and must rebuild cold. Both
-// directions are cross-checked against fresh solves.
+// failing a disk after a healthy solve is a structure change and must
+// rebuild cold; a masked re-solve with the matching mask then warms (the
+// built slot mask agrees), while dropping back to the healthy problem
+// must rebuild cold again. Both directions are cross-checked against
+// fresh solves.
 func TestWarmAcrossFailoverTransitions(t *testing.T) {
 	check := func(seed uint64) bool {
 		p := problemFromSeed(seed, false)
@@ -187,7 +188,11 @@ func TestWarmAcrossFailoverTransitions(t *testing.T) {
 				t.Logf("seed %d: %s baseline: %v", seed, fs.name, err)
 				return false
 			}
-			if err := s.MarkFailed(d, res); !checkDegraded(t, fs.name+"/failover", p, res, err, wantDead) {
+			if err := s.SolveMaskedInto(p, mask, res); !checkDegraded(t, fs.name+"/failover", p, res, err, wantDead) {
+				return false
+			}
+			if res.Stats.Warm {
+				t.Logf("seed %d: %s mask change incorrectly warm", seed, fs.name)
 				return false
 			}
 			// Masked re-solve with fresh loads: the failed-over network is
@@ -198,7 +203,7 @@ func TestWarmAcrossFailoverTransitions(t *testing.T) {
 				return false
 			}
 			if !res.Stats.Warm {
-				t.Logf("seed %d: %s masked re-solve after MarkFailed not warm", seed, fs.name)
+				t.Logf("seed %d: %s masked re-solve not warm", seed, fs.name)
 				return false
 			}
 			fres := &Result{}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -215,15 +216,18 @@ func TestAdmissionDeadline(t *testing.T) {
 // TestFailoverBetweenSnapshotAndMerge injects a disk failure in exactly
 // the window the online mode is vulnerable to — after a worker solved
 // against its health snapshot, before the write-back — and requires the
-// worker to repair the schedule in place via the conserved-flow failover
-// (MarkFailed), rerouting every block off the failed disk.
+// worker to re-solve the query against the refreshed mask, rerouting
+// every block off the failed disk. The re-solved schedule must be
+// optimal: its response time equals the oracle's masked solve of the
+// same problem.
 func TestFailoverBetweenSnapshotAndMerge(t *testing.T) {
 	sys, stream := testStream(t, 24, 21)
 	qs := toServeQueries(stream)
 
 	var mu sync.Mutex
 	var hookErrs []string
-	failed := -1
+	failed, resolved := -1, -1
+	checked := false
 	s, err := New(sys, len(qs), Options{
 		Workers: 1, Batch: 4, MaxRetries: 3, RetryBackoff: 10 * time.Microsecond,
 		// Arm fault mode with an empty schedule; the one event comes from
@@ -244,13 +248,27 @@ func TestFailoverBetweenSnapshotAndMerge(t *testing.T) {
 			if err := p.ValidatePartialSchedule(sch, dead); err != nil {
 				hookErrs = append(hookErrs, err.Error())
 			}
+			if q.Seq != resolved {
+				return
+			}
+			checked = true
+			mask := retrieval.NewDiskMask(len(p.Disks))
+			mask.MarkFailed(failed)
+			ores, oerr := retrieval.NewOracle().SolveMasked(p, mask)
+			if oerr != nil && !errors.Is(oerr, retrieval.ErrInfeasible) {
+				hookErrs = append(hookErrs, oerr.Error())
+			} else if sch.ResponseTime != ores.Schedule.ResponseTime {
+				hookErrs = append(hookErrs, fmt.Sprintf("re-solved query %d: response %v, oracle masked %v",
+					q.Seq, sch.ResponseTime, ores.Schedule.ResponseTime))
+			}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The test hook runs between the solve and the mid-solve-failure
-	// check: fail the busiest disk of the just-solved schedule, once.
+	// check: fail the busiest disk of the first schedule that puts two or
+	// more blocks on one disk, so the re-solve has real load to spread.
 	s.afterSolve = func(w *worker, q *Query) {
 		mu.Lock()
 		defer mu.Unlock()
@@ -263,10 +281,10 @@ func TestFailoverBetweenSnapshotAndMerge(t *testing.T) {
 				best, bestCount = j, c
 			}
 		}
-		if best < 0 {
+		if bestCount < 2 {
 			return
 		}
-		failed = best
+		failed, resolved = best, q.Seq
 		if err := s.FailDisk(best); err != nil {
 			hookErrs = append(hookErrs, err.Error())
 		}
@@ -289,12 +307,15 @@ func TestFailoverBetweenSnapshotAndMerge(t *testing.T) {
 	if failed < 0 {
 		t.Fatal("the injection hook never fired")
 	}
+	if !checked {
+		t.Fatal("the re-solved query never reached OnSchedule")
+	}
 	repaired := 0
 	for _, r := range results {
 		repaired += r.Failovers
 	}
 	if repaired == 0 {
-		t.Fatal("no in-place failover repair happened")
+		t.Fatal("no failover re-solve happened")
 	}
 	fs := s.FaultStats()
 	if fs.Failovers == 0 || fs.Retries == 0 {

@@ -88,8 +88,9 @@ const (
 	RejectDeadline
 	// RejectCanceled: the query's Ctx was canceled before pickup.
 	RejectCanceled
-	// RejectFaults: every bounded mid-solve failure repair was exhausted
-	// — a transient condition worth retrying once the fault epoch calms.
+	// RejectFaults: every bounded re-solve after mid-solve failures was
+	// exhausted — a transient condition worth retrying once the fault
+	// epoch calms.
 	RejectFaults
 )
 
@@ -138,8 +139,10 @@ type Result struct {
 	// set is observable through OnSchedule: dropped buckets have
 	// Assignment -1.
 	Dropped int
-	// Failovers counts in-place MarkFailed repairs performed for this
-	// query after a disk failed between the solve and the write-back.
+	// Failovers counts, over this query's re-solves, the failed disks its
+	// schedule had to be moved off after a disk failed between the solve
+	// and the write-back (each re-solve adds the number of scheduled disks
+	// that failed).
 	Failovers int
 }
 
@@ -192,10 +195,10 @@ type Options struct {
 	// schedule leaves every result bit-identical to a fault-free run.
 	Fault *fault.Schedule
 	// MaxRetries bounds how many times a query bounced by a mid-solve
-	// disk failure is repaired before it is rejected. <= 0 means 3.
+	// disk failure is re-solved before it is rejected. <= 0 means 3.
 	MaxRetries int
 	// RetryBackoff is the base of the exponential backoff (with jitter)
-	// between bounce repairs. <= 0 means 50µs.
+	// between bounce re-solves. <= 0 means 50µs.
 	RetryBackoff time.Duration
 }
 
@@ -204,8 +207,8 @@ type Options struct {
 type FaultStats struct {
 	DegradedQueries int64 // queries served while at least one disk was failed
 	DroppedBuckets  int64 // buckets lost to all-replicas-down (partial retrievals)
-	Failovers       int64 // in-place MarkFailed repairs after mid-solve failures
-	Retries         int64 // bounce-repair rounds (each backs off before repairing)
+	Failovers       int64 // failed scheduled disks re-solved off after mid-solve failures
+	Retries         int64 // bounce re-solve rounds (each backs off before re-solving)
 	Rejected        int64 // queries rejected: deadline passed or retries exhausted
 	Canceled        int64 // queries whose Ctx was canceled before pickup
 }
@@ -341,8 +344,8 @@ func (s *Server) FaultStats() FaultStats {
 
 // FailDisk manually injects a disk failure, as a chaos schedule's Fail
 // event would. Safe to call concurrently with serving; queries already
-// solved onto the disk are repaired in place (bounded retries) before
-// their write-back.
+// solved onto the disk are re-solved against the refreshed mask (bounded
+// retries) before their write-back.
 func (s *Server) FailDisk(disk int) error {
 	if !s.faultable {
 		return fmt.Errorf("serve: FailDisk needs failover-capable solvers (Options.NewSolver must build retrieval.FailoverSolvers)")

@@ -75,14 +75,13 @@ type worker struct {
 
 	// Fault-mode state: the failover view of the pinned solver (nil when
 	// the solver cannot mask), the batch-local snapshots of the health
-	// mask and slowdown factors, the epoch the snapshot was taken at, a
-	// conflict scratch list, and the retry-jitter generator.
-	fsolver   retrieval.FailoverSolver
-	mask      *retrieval.DiskMask
-	slow      []int64
-	epoch     uint64
-	conflicts []int
-	rng       *xrand.Source
+	// mask and slowdown factors, the epoch the snapshot was taken at, and
+	// the retry-jitter generator.
+	fsolver retrieval.FailoverSolver
+	mask    *retrieval.DiskMask
+	slow    []int64
+	epoch   uint64
+	rng     *xrand.Source
 
 	// tableStale marks that a mid-batch fault refresh may have changed the
 	// slowdown factors, so the batch-shared disk table must be rebuilt
@@ -394,45 +393,42 @@ func (w *worker) solveMasked(dropped *int) error {
 }
 
 // solveFaulty is the online fault-mode solve: solve against the batch's
-// mask snapshot, then — if chaos moved meanwhile (epoch change) — repair
-// the schedule in place with the conserved-flow failover
-// (FailoverSolver.MarkFailed) for every scheduled disk that failed
-// mid-solve. Repairs are bounded retries with exponential backoff +
-// jitter; exhaustion rejects the query (recorded, served=false).
+// mask snapshot, then — if chaos moved meanwhile (epoch change) and the
+// refreshed mask fails a disk the schedule uses — back off and solve
+// again against the refreshed mask. Re-solves are bounded retries with
+// exponential backoff + jitter; exhaustion rejects the query (recorded,
+// served=false).
 func (w *worker) solveFaulty(q *Query, now cost.Micros, dropped, failovers *int) (served bool, err error) {
 	s := w.srv
-	if err := w.solveMasked(dropped); err != nil {
-		return false, err
-	}
-	w.countSolve()
-	if s.afterSolve != nil {
-		s.afterSolve(w, q)
-	}
-	for attempt := 0; ; {
+	for attempt := 0; ; attempt++ {
+		if err := w.solveMasked(dropped); err != nil {
+			return false, err
+		}
+		w.countSolve()
+		if s.afterSolve != nil {
+			s.afterSolve(w, q)
+		}
 		if s.faultEpoch.Load() == w.epoch {
-			break // no chaos since the snapshot: the schedule is current
+			return true, nil // no chaos since the snapshot: the schedule is current
 		}
 		w.refreshFault(now)
-		if w.findConflicts() == 0 {
-			break // chaos moved but missed this query's disks
+		n := w.conflicts()
+		if n == 0 {
+			return true, nil // chaos moved but missed this query's disks
 		}
 		if attempt >= s.opt.MaxRetries {
 			s.nRejected.Add(1)
 			w.record(Result{Seq: q.Seq, Worker: w.id, Rejected: true, Reason: RejectFaults, Latency: sinceSubmit(q)})
 			return false, nil
 		}
-		attempt++
 		s.nRetries.Add(1)
-		w.backoff(attempt)
-		for _, d := range w.conflicts {
-			*failovers++
-			s.nFailovers.Add(1)
-			if err := w.markFailed(d, dropped); err != nil {
-				return false, err
-			}
+		*failovers += n
+		s.nFailovers.Add(int64(n))
+		w.backoff(attempt + 1)
+		if w.tableStale {
+			w.buildDiskTable(w.local, now)
 		}
 	}
-	return true, nil
 }
 
 // refreshFault re-snapshots the live health mask and slowdown factors,
@@ -446,35 +442,20 @@ func (w *worker) refreshFault(now cost.Micros) {
 	w.epoch = s.faultEpoch.Load()
 	s.mu.Unlock()
 	// The slowdown factors may have moved: the batch-shared disk table
-	// must be rebuilt before the next query solves against it.
+	// must be rebuilt before the next solve against it.
 	w.tableStale = true
 }
 
-// findConflicts collects the disks the current schedule routes through
-// that the (refreshed) mask now marks failed.
-func (w *worker) findConflicts() int {
-	w.conflicts = w.conflicts[:0]
+// conflicts counts the disks the current schedule routes through that
+// the (refreshed) mask now marks failed.
+func (w *worker) conflicts() int {
+	n := 0
 	for d, k := range w.res.Schedule.Counts {
 		if k > 0 && w.mask.Failed(d) {
-			w.conflicts = append(w.conflicts, d)
+			n++
 		}
 	}
-	return len(w.conflicts)
-}
-
-// markFailed repairs the current query in place after disk d failed
-// mid-solve, folding any newly-stranded buckets into the dropped count.
-func (w *worker) markFailed(d int, dropped *int) error {
-	err := w.fsolver.MarkFailed(d, &w.res)
-	if err == nil {
-		return nil
-	}
-	var inf *retrieval.InfeasibleError
-	if errors.As(err, &inf) {
-		*dropped = len(inf.Buckets)
-		return nil
-	}
-	return err
+	return n
 }
 
 // backoff sleeps the exponential backoff with jitter before retry round
